@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     sweep.add_argument("--out", required=True, help="destination CSV path")
     sweep.add_argument("--mode", choices=mode_choices)
-    sweep.add_argument("--workers", type=int, default=1, help="parallel evaluators (result is identical)")
+    sweep.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; evaluation is serial (result is identical)"
+    )
     sweep.set_defaults(func=_cmd_sweep)
 
     bands = sub.add_parser("bands", help="query the frequency-band registry")

@@ -19,6 +19,7 @@ from .errors import DomainError
 from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
 
 _FOUR_PI = 4.0 * math.pi
+_FOUR_PI_DB = 30.0 * math.log10(_FOUR_PI)
 
 
 class ArrayGainModel(Enum):
@@ -81,15 +82,6 @@ class Scenario:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
-        finite = (
-            "tx_power_dbw",
-            "tx_gain_ref_dbi",
-            "rx_gain_dbi",
-            "detection_threshold_db",
-        )
-        for name in finite:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
         for name in ("n_subcarriers", "n_elements", "n_elements_ref"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
@@ -103,6 +95,11 @@ class Scenario:
         for name in ("elevation_user_deg", "elevation_target_deg"):
             if not 0.0 <= getattr(self, name) <= 90.0:
                 raise DomainError(f"{name} must be within [0, 90] degrees")
+        # Last, so the range checks above keep their messages.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite")
 
     @property
     def comm_rx_gain_dbi(self) -> float:
@@ -177,6 +174,16 @@ def tx_array_gain_db(s: Scenario) -> float:
     return array_gain_db(s.tx_gain_ref_dbi, s.n_elements, s.n_elements_ref, s.array_gain_model)
 
 
+def comm_terms(s: Scenario) -> tuple[float, float]:
+    """(FSPL, noise power) of the user link, in dB."""
+    fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
+    return fspl, noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
+
+
+def downlink_snr_db(p: float, g_tx: float, g_rx: float, fspl: float, noise: float) -> float:
+    return p + g_tx + g_rx - fspl - noise
+
+
 def comm_snr_db(s: Scenario) -> float:
     """Downlink SNR: P + G_tx + G_rx - FSPL - N.
 
@@ -184,13 +191,7 @@ def comm_snr_db(s: Scenario) -> float:
     against data-band noise cancels identically, so no partition term
     appears.
     """
-    return (
-        s.tx_power_dbw
-        + tx_array_gain_db(s)
-        + s.comm_rx_gain_dbi
-        - fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
-        - noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
-    )
+    return downlink_snr_db(s.tx_power_dbw, tx_array_gain_db(s), s.comm_rx_gain_dbi, *comm_terms(s))
 
 
 def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
@@ -203,49 +204,67 @@ def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
     return 10.0 * math.log10(n)
 
 
-def _radar_received_dbw(
-    s: Scenario,
-    plan: SubcarrierPlan,
-    tx_gain_db: float,
-    rx_gain_db: float,
-    r1_m: float,
-    r2_m: float,
-) -> float:
+@dataclass(frozen=True)
+class RadarTerms:
+    """The radar-budget terms that depend neither on transmit power nor on
+    element count, in dB. A budget adds them, not pre-summed, in the order
+    P + 10log10(sf) + G_tx + G_rx + 20log10(lambda) + 10log10(rcs)
+    - 30log10(4 pi) - 20log10(R1) - 20log10(R2), so it gives the same bits
+    whether they were computed once per scenario or at each point."""
+
+    sense_fraction_db: float
+    wavelength_db: float
+    rcs_db: float
+    target_range_db: float  # satellite-target leg
+    rx_range_db: float  # target-receiver leg
+    noise_dbw: float  # sensing-band noise
+
+
+def radar_terms(s: Scenario, plan: SubcarrierPlan) -> RadarTerms:
+    """The RadarTerms of ``s``; a radar budget needs at least one sensing tone."""
     if plan.n_sense < 1:
         raise DomainError("radar budget needs n_sense >= 1")
-    wavelength = SPEED_OF_LIGHT / s.carrier_hz
-    return (
-        s.tx_power_dbw
-        + 10.0 * math.log10(plan.sense_fraction)
-        + tx_gain_db
-        + rx_gain_db
-        + 20.0 * math.log10(wavelength)
-        + 10.0 * math.log10(s.rcs_m2)
-        - 30.0 * math.log10(_FOUR_PI)
-        - 20.0 * math.log10(r1_m)
-        - 20.0 * math.log10(r2_m)
+    return RadarTerms(
+        10.0 * math.log10(plan.sense_fraction),
+        20.0 * math.log10(SPEED_OF_LIGHT / s.carrier_hz),
+        10.0 * math.log10(s.rcs_m2),
+        20.0 * math.log10(s.d_sat_target_km * 1000.0),
+        20.0 * math.log10(s.d_target_rx_km * 1000.0),
+        noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz),
     )
+
+
+def radar_budget_db(
+    tx_power_dbw: float, t: RadarTerms, tx_gain_db: float, rx_gain_db: float, rx_leg_db: float
+) -> tuple[float, float]:
+    """(echo power dBW, single-symbol SNR dB); R1 is the satellite-target leg
+    and ``rx_leg_db`` is 20 log10(R2)."""
+    received = (
+        tx_power_dbw + t.sense_fraction_db + tx_gain_db + rx_gain_db + t.wavelength_db + t.rcs_db
+        - _FOUR_PI_DB - t.target_range_db - rx_leg_db
+    )
+    return received, received - t.noise_dbw
+
+
+def _bistatic(s: Scenario, plan: SubcarrierPlan) -> tuple[float, float]:
+    t = radar_terms(s, plan)
+    return radar_budget_db(s.tx_power_dbw, t, tx_array_gain_db(s), s.sense_rx_gain_dbi, t.rx_range_db)
+
+
+def _with_integration(single: float, s: Scenario, num: OfdmNumerology) -> tuple[float, float]:
+    return single, single + integration_gain_db(s.t_integration_s, num)
 
 
 def bistatic_received_power_dbw(s: Scenario, plan: SubcarrierPlan) -> float:
     """Echo power at the ground radar receiver over the two bistatic legs."""
-    return _radar_received_dbw(
-        s,
-        plan,
-        tx_array_gain_db(s),
-        s.sense_rx_gain_dbi,
-        s.d_sat_target_km * 1000.0,
-        s.d_target_rx_km * 1000.0,
-    )
+    return _bistatic(s, plan)[0]
 
 
 def bistatic_radar_snr_db(
     s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
 ) -> tuple[float, float]:
     """(single-symbol, coherently integrated) SNR of the bistatic echo."""
-    received = bistatic_received_power_dbw(s, plan)
-    single = received - noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
-    return single, single + integration_gain_db(s.t_integration_s, num)
+    return _with_integration(_bistatic(s, plan)[1], s, num)
 
 
 def monostatic_radar_snr_db(
@@ -254,8 +273,6 @@ def monostatic_radar_snr_db(
     """Bistatic budget degenerated to the satellite hearing its own echo:
     both legs are the satellite-target range and the receive gain is the
     transmit array gain."""
+    t = radar_terms(s, plan)
     g = tx_array_gain_db(s)
-    r = s.d_sat_target_km * 1000.0
-    received = _radar_received_dbw(s, plan, g, g, r, r)
-    single = received - noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
-    return single, single + integration_gain_db(s.t_integration_s, num)
+    return _with_integration(radar_budget_db(s.tx_power_dbw, t, g, g, t.target_range_db)[1], s, num)

@@ -20,6 +20,14 @@ QPSK_BITS_PER_SYMBOL = 2
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
 
 
+def _db_to_linear(value_db: float) -> float:
+    """10^(x/10); a value past the floating-point range is a DomainError."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{value_db!r} dB overflows the linear scale") from None
+
+
 @dataclass(frozen=True)
 class PerformanceResult:
     shannon_rate_bps: float
@@ -48,7 +56,7 @@ def achievable_rate(
         raise DomainError("snr_db must be finite")
     data_factor = plan.data_fraction if include_partition_overhead else 1.0
     cp_factor = num.cp_overhead if include_cp_overhead else 1.0
-    shannon = data_factor * cp_factor * num.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    shannon = data_factor * cp_factor * num.bandwidth_hz * math.log2(1.0 + _db_to_linear(snr_db))
     qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
     return shannon, min(shannon, qpsk_cap)
 
@@ -59,7 +67,7 @@ def delay_crlb(post_snr_db: float, rms_bandwidth_hz: float) -> float:
         raise DomainError("rms_bandwidth_hz must be > 0")
     if not math.isfinite(post_snr_db):
         raise DomainError("post_snr_db must be finite")
-    snr = 10.0 ** (post_snr_db / 10.0)
+    snr = _db_to_linear(post_snr_db)
     return 1.0 / (_EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz * snr)
 
 
@@ -100,7 +108,7 @@ def ici_effective_snr_db(snr_db: float, doppler_hz: float, subcarrier_spacing_hz
     if doppler_hz == 0.0:
         return snr_db
     a = _sinc(doppler_hz / subcarrier_spacing_hz) ** 2
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = _db_to_linear(snr_db)
     sinr = a * snr / (1.0 + (1.0 - a) * snr)
     if sinr == 0.0:
         return float("-inf")

@@ -1,15 +1,15 @@
 """Grid evaluation over transmit power and antenna-element count, result
 table assembly, and deterministic CSV emission.
 
-Grid points are independent pure-function evaluations; the table imposes a
-canonical (n_elements, tx_power) sort so output does not depend on
-evaluation order or concurrency.
+Evaluation has two stages: terms that depend only on the scenario are
+computed once per sweep, then each (tx_power, n_elements) grid point adds
+the terms that vary with it. The table imposes a canonical
+(n_elements, tx_power) sort, so output does not depend on axis order.
 """
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 from pathlib import Path
@@ -70,6 +70,10 @@ class SweepSpec:
         for n in self.element_axis:
             if n < 1:
                 raise DomainError("element_axis values must be >= 1")
+        for name in ("power_axis_dbw", "element_axis"):
+            axis = getattr(self, name)
+            if len(set(axis)) != len(axis):
+                raise DomainError(f"{name} values must be distinct")
 
 
 @dataclass(frozen=True)
@@ -113,95 +117,71 @@ def selected_radar_snrs(link: LinkResult, mode: Mode) -> tuple[float, float]:
     return link.radar_snr_single_db, link.radar_snr_integrated_db
 
 
-def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
-    """Evaluate one scenario point end to end.
-
-    Composition is geometry -> waveform -> link budget -> performance and is
-    fully deterministic. When ``doppler_precompensated`` is false, the
-    orbital Doppler at the implied user-link altitude (full orbital speed,
-    worst case) degrades every leg's SNR through the inter-carrier
-    interference model before integration.
-    """
+def _point_stage(s: Scenario, mode: Mode):
+    """Scenario stage: evaluate once every term that depends neither on
+    transmit power nor on element count, then return the point stage,
+    (tx_power_dbw, n_elements) -> (LinkResult, PerformanceResult)."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
-
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
-
-    comm_snr = linkbudget.comm_snr_db(s)
-    radar_rx = linkbudget.bistatic_received_power_dbw(s, plan)
-    noise_sense = linkbudget.noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
+    fspl, noise_comm = linkbudget.comm_terms(s)
+    comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
+    radar = linkbudget.radar_terms(s, plan)
     gain = linkbudget.integration_gain_db(s.t_integration_s, num)
-    bi_single = radar_rx - noise_sense
-    mono_single, _ = linkbudget.monostatic_radar_snr_db(s, plan, num)
-
-    if not s.doppler_precompensated:
-        doppler_hz = residual_doppler_hz(s)
-        comm_snr = performance.ici_effective_snr_db(comm_snr, doppler_hz, num.subcarrier_spacing_hz)
-        bi_single = performance.ici_effective_snr_db(bi_single, doppler_hz, num.subcarrier_spacing_hz)
-        mono_single = performance.ici_effective_snr_db(mono_single, doppler_hz, num.subcarrier_spacing_hz)
-
-    link = LinkResult(
-        fspl_comm_db=linkbudget.fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0),
-        noise_comm_dbw=linkbudget.noise_power_dbw(s.noise_temp_k, s.bandwidth_hz),
-        comm_snr_db=comm_snr,
-        radar_rx_power_dbw=radar_rx,
-        noise_sense_dbw=noise_sense,
-        radar_snr_single_db=bi_single,
-        integration_gain_db=gain,
-        radar_snr_integrated_db=bi_single + gain,
-        mono_snr_single_db=mono_single,
-        mono_snr_integrated_db=mono_single + gain,
-        implied_altitude_diag_km=implied_alt_km,
-    )
-
-    _, post_snr = selected_radar_snrs(link, mode)
     rms_bw = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
-    variance = performance.delay_crlb(post_snr, rms_bw)
-    mse, rmse = performance.range_mse(variance)
-    shannon, capped = performance.achievable_rate(comm_snr, plan, num)
-    perf = PerformanceResult(
-        shannon_rate_bps=shannon,
-        modulation_capped_rate_bps=capped,
-        delay_variance_s2=variance,
-        range_mse_m2=mse,
-        range_rmse_m=rmse,
-        detection_feasible=performance.detection_feasible(post_snr, s.detection_threshold_db),
+    # Uncompensated Doppler (worst case: full orbital speed at the implied
+    # user-link altitude) degrades every leg's SNR by ICI before integration.
+    doppler_hz = None if s.doppler_precompensated else geometry.doppler_shift(
+        s.carrier_hz, geometry.orbital_speed(implied_alt_km)
     )
-    return link, perf
+
+    def evaluate(p: float, n: int) -> tuple[LinkResult, PerformanceResult]:
+        g_tx = linkbudget.array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
+        comm_snr = linkbudget.downlink_snr_db(p, g_tx, comm_rx_gain, fspl, noise_comm)
+        radar_rx, bi_single = linkbudget.radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
+        _, mono_single = linkbudget.radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
+        if doppler_hz is not None:
+            spacing = num.subcarrier_spacing_hz
+            comm_snr = performance.ici_effective_snr_db(comm_snr, doppler_hz, spacing)
+            bi_single = performance.ici_effective_snr_db(bi_single, doppler_hz, spacing)
+            mono_single = performance.ici_effective_snr_db(mono_single, doppler_hz, spacing)
+
+        link = LinkResult(
+            fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
+            bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
+        )
+        _, post_snr = selected_radar_snrs(link, mode)
+        variance = performance.delay_crlb(post_snr, rms_bw)
+        mse, rmse = performance.range_mse(variance)
+        shannon, capped = performance.achievable_rate(comm_snr, plan, num)
+        feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
+        return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
+
+    return evaluate
 
 
-def residual_doppler_hz(s: Scenario) -> float:
-    """Worst-case user-link Doppler when precompensation is off: full
-    orbital speed at the implied altitude, zero when the flag is set."""
-    if s.doppler_precompensated:
-        return 0.0
-    alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
-    return geometry.doppler_shift(s.carrier_hz, geometry.orbital_speed(alt_km))
+def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
+    """Evaluate one scenario point end to end, as the 1 x 1 grid of run_sweep:
+    geometry -> waveform -> link budget -> performance, fully deterministic."""
+    return _point_stage(s, mode)(s.tx_power_dbw, s.n_elements)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
-    """Evaluate the full power x elements grid into a sorted ResultTable."""
-    points = [
-        (n, p, replace(spec.base, tx_power_dbw=p, n_elements=n))
-        for n in spec.element_axis
-        for p in spec.power_axis_dbw
-    ]
+    """Evaluate the full power x elements grid into a sorted ResultTable.
 
-    def evaluate(point):
-        n, p, scenario = point
-        try:
-            link, perf = run_point(scenario, spec.mode)
-        except DomainError as exc:
-            raise DomainError(
-                f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}"
-            ) from None
-        return SweepRow(tx_power_dbw=p, n_elements=n, link=link, perf=perf)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(point) for point in points]
+    Points run serially in axis order, so an error names the first failing
+    point; the scenario stage fails exactly where the first point would.
+    ``workers`` is accepted and does not change the result."""
+    rows = []
+    n, p = spec.element_axis[0], spec.power_axis_dbw[0]
+    try:
+        evaluate = _point_stage(spec.base, spec.mode)
+        for n in spec.element_axis:
+            for p in spec.power_axis_dbw:
+                link, perf = evaluate(p, n)
+                rows.append(SweepRow(tx_power_dbw=p, n_elements=n, link=link, perf=perf))
+    except DomainError as exc:
+        raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
     rows.sort(key=lambda r: (r.n_elements, r.tx_power_dbw))
 
     metadata = {

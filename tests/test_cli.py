@@ -43,6 +43,16 @@ class TestSimulate:
         assert "d_sat_user_km" in err
         assert err.startswith("error[domain]")
 
+    @pytest.mark.parametrize(
+        "assignment",
+        ["t_integration_s=nan", "t_integration_s=inf", "carrier_hz=inf", "tx_power_dbw=1e308"],
+    )
+    def test_nonfinite_or_overflowing_input_exits_1(self, capsys, assignment):
+        code, _, err = run_cli(capsys, "simulate", "--set", assignment)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[domain]")
+
     def test_override_precedence_echoed(self, capsys, tmp_path):
         config = tmp_path / "point.cfg"
         config.write_text("# reference overrides\ntx_power_dbw = 5\nn_elements = 4\n")

@@ -1,7 +1,7 @@
 """Link-budget oracles: path loss, noise, array gain, and the three SNRs."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -117,6 +117,12 @@ class TestScenarioValidation:
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            Scenario(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in fields(Scenario) if f.type in (float, float | None)])
+    def test_every_float_field_must_be_finite(self, field, value):
         with pytest.raises(DomainError, match=field):
             Scenario(**{field: value})
 

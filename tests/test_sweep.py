@@ -111,6 +111,11 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             SweepSpec(power_axis_dbw=())
 
+    @pytest.mark.parametrize("axes", [{"power_axis_dbw": (1.0, 2.0, 1.0)}, {"element_axis": (2, 2)}])
+    def test_duplicate_axis_values_rejected(self, axes):
+        with pytest.raises(DomainError, match="must be distinct"):
+            SweepSpec(**axes)
+
     def test_monostatic_mode_never_feasible(self):
         table = run_sweep(SweepSpec(mode=Mode.RADAR_MONOSTATIC))
         assert all(r.perf.detection_feasible is False for r in table.rows)
