@@ -1,14 +1,19 @@
-"""Pinned sweep outputs, so a refactor that shifts every number consistently
-still fails: each case's CSV must match its committed file byte for byte,
-and every row's link and performance figures must match at full precision
-(the CSV keeps 9 significant digits, which hides a change in the last bits).
+"""Pinned sweep and simulate outputs, so a refactor that shifts every number
+consistently still fails: each case's CSV and each simulate ledger must
+match its committed file byte for byte, and every row's link and
+performance figures must match at full precision (the CSV keeps 9
+significant digits, which hides a change in the last bits).
 
-The files in tests/data/ were written by the code as it stood before the
-staged evaluator. Regenerate them only for an intended change of output:
+The sweep files in tests/data/ were written by the code as it stood before
+the staged evaluator, the simulate files by the code before the ledger was
+rendered from the result types. Regenerate them only for an intended change
+of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import random
 import sys
@@ -38,6 +43,13 @@ CASES = {
         "doppler_precompensated=false",
         "tone_placement=block_edge",
     ),
+}
+
+SIMULATE_CASES = {
+    "default": (),
+    "radar_monostatic": ("--mode", "radar_monostatic"),
+    "doppler_uncompensated": ("--set", "doppler_precompensated=false"),
+    "all_keys": ("--config", str(DATA / "simulate_all_keys.cfg")),
 }
 
 
@@ -102,6 +114,12 @@ def test_sweep_csv_matches_golden(case, tmp_path, capsys):
     assert out.read_bytes() == (DATA / f"golden_{case}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_stdout_matches_golden(case, capsys):
+    assert main(["simulate", *SIMULATE_CASES[case]]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
+
+
 def test_sweep_values_match_golden_at_full_precision():
     golden = json.loads(FULL_PRECISION.read_text(encoding="utf-8"))
     assert len(golden) == len(CASES) + VARIED
@@ -116,4 +134,8 @@ if __name__ == "__main__":
     overrides = [list(assignments) for assignments in CASES.values()] + varied_overrides(VARIED)
     golden = [{"overrides": o, "rows": full_precision_rows(o)} for o in overrides]
     FULL_PRECISION.write_text(json.dumps(golden, separators=(",", ":")) + "\n", encoding="utf-8")
+    for name in SIMULATE_CASES:
+        with contextlib.redirect_stdout(io.StringIO()) as buffer:
+            main(["simulate", *SIMULATE_CASES[name]])
+        (DATA / f"simulate_{name}.txt").write_text(buffer.getvalue(), encoding="utf-8")
     sys.exit(0)
