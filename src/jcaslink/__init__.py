@@ -8,14 +8,7 @@ of satellite communication and spaceborne-radar frequency allocations.
 
 from ._version import __version__
 from .errors import ConfigError, DomainError, PartitionOverflowError
-from .geometry import (
-    GeometryInputs,
-    bistatic_range,
-    doppler_shift,
-    implied_altitude,
-    orbital_speed,
-    slant_range,
-)
+from .geometry import doppler_shift, implied_altitude, orbital_speed, slant_range
 from .linkbudget import (
     ArrayGainModel,
     LinkResult,
@@ -61,7 +54,6 @@ __all__ = [
     "BandRecord",
     "ConfigError",
     "DomainError",
-    "GeometryInputs",
     "LinkResult",
     "Mode",
     "OfdmNumerology",
@@ -78,7 +70,6 @@ __all__ = [
     "achievable_rate",
     "array_gain_db",
     "bistatic_radar_snr_db",
-    "bistatic_range",
     "check_jcas_pairing",
     "comm_snr_db",
     "delay_crlb",

@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 
 import argparse
 import sys
+from dataclasses import asdict
 from enum import Enum
 
-from . import geometry, spectrum
+from . import spectrum
 from ._version import __version__
 from .config import effective_values, scenario_from_values, sweep_spec_from_values
 from .errors import ConfigError, DomainError
-from .sweep import Mode, emit_csv, run_point, run_sweep
+from .sweep import Mode, emit_csv, run_point, run_sweep, user_link_doppler
 
 _GHZ = 1e9
 
@@ -29,11 +30,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _print_kv(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key} = {_fmt_value(value)}")
-
-
 def _cmd_simulate(args) -> int:
     values = effective_values(args.config, args.set)
     if args.mode is not None:
@@ -42,51 +38,23 @@ def _cmd_simulate(args) -> int:
     mode = values.get("mode", Mode.ALL)
     link, perf = run_point(scenario, mode)
 
-    print("# effective configuration")
-    _print_kv(scenario.field_values().items())
-    _print_kv([("mode", mode)])
-
-    doppler_full = geometry.doppler_shift(
-        scenario.carrier_hz,
-        geometry.orbital_speed(link.implied_altitude_diag_km),
-    )
-    print("# geometry diagnostics")
-    _print_kv(
-        [
-            ("implied_altitude_diag_km", link.implied_altitude_diag_km),
-            ("orbital_speed_mps", geometry.orbital_speed(link.implied_altitude_diag_km)),
-            ("doppler_shift_hz", doppler_full),
-            ("doppler_applied_hz", 0.0 if scenario.doppler_precompensated else doppler_full),
-        ]
-    )
-
-    print("# link budget")
-    _print_kv(
-        [
-            ("fspl_comm_db", link.fspl_comm_db),
-            ("noise_comm_dbw", link.noise_comm_dbw),
-            ("comm_snr_db", link.comm_snr_db),
-            ("radar_rx_power_dbw", link.radar_rx_power_dbw),
-            ("noise_sense_dbw", link.noise_sense_dbw),
-            ("radar_snr_single_db", link.radar_snr_single_db),
-            ("integration_gain_db", link.integration_gain_db),
-            ("radar_snr_integrated_db", link.radar_snr_integrated_db),
-            ("mono_snr_single_db", link.mono_snr_single_db),
-            ("mono_snr_integrated_db", link.mono_snr_integrated_db),
-        ]
-    )
-
-    print("# performance")
-    _print_kv(
-        [
-            ("shannon_rate_bps", perf.shannon_rate_bps),
-            ("qpsk_capped_rate_bps", perf.modulation_capped_rate_bps),
-            ("delay_variance_s2", perf.delay_variance_s2),
-            ("range_mse_m2", perf.range_mse_m2),
-            ("range_rmse_m", perf.range_rmse_m),
-            ("detection_feasible", perf.detection_feasible),
-        ]
-    )
+    speed, shift, applied = user_link_doppler(scenario, link.implied_altitude_diag_km)
+    geometry = {
+        "implied_altitude_diag_km": link.implied_altitude_diag_km,
+        "orbital_speed_mps": speed,
+        "doppler_shift_hz": shift,
+        "doppler_applied_hz": applied,
+    }
+    sections = {
+        "effective configuration": {**scenario.field_values(), "mode": mode},
+        "geometry diagnostics": geometry,
+        "link budget": {k: v for k, v in asdict(link).items() if k not in geometry},
+        "performance": asdict(perf),
+    }
+    for title, ledger in sections.items():
+        print(f"# {title}")
+        for key, value in ledger.items():
+            print(f"{key} = {_fmt_value(value)}")
     return 0
 
 
@@ -110,12 +78,6 @@ def _cmd_sweep(args) -> int:
 
 def _format_range_ghz(record: spectrum.BandRecord) -> str:
     return f"{record.freq_low_hz / _GHZ:g}-{record.freq_high_hz / _GHZ:g} GHz"
-
-
-def _record_notes(record: spectrum.BandRecord) -> str:
-    if record.service is spectrum.ServiceKind.COMMUNICATIONS:
-        return record.applications
-    return "; ".join(f"{k}={v}" for k, v in record.sensor_bandwidths)
 
 
 def _cmd_bands(args) -> int:
@@ -149,7 +111,7 @@ def _print_band_letter(query: str) -> int:
         raise DomainError(f"unknown band letter {query!r}")
     matches = [r for r in spectrum.default_registry() if r.band_letter == letter]
     for record in matches:
-        print(f"{record.service.value} {letter} {_format_range_ghz(record)}  {_record_notes(record)}")
+        print(f"{record.service.value} {letter} {_format_range_ghz(record)}  {record.notes}")
     if not matches:
         print(f"no registry entries for band {letter}")
     return 0

@@ -6,20 +6,13 @@ total: every document yields a value dict or a line-numbered ConfigError.
 Omitted keys keep the reference-scenario defaults.
 """
 
+from dataclasses import fields
+from enum import EnumMeta
 from pathlib import Path
 
 from .errors import ConfigError
-from .linkbudget import ArrayGainModel, Scenario
+from .linkbudget import Scenario
 from .sweep import Mode, SweepSpec
-from .waveform import TonePlacement
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_int(raw: str) -> int:
-    return int(raw)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -50,32 +43,12 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(item.strip()) for item in raw.split(","))
 
 
+_PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: float}
+
+# One parser per Scenario field, chosen by the field's annotated type.
 SCENARIO_PARSERS = {
-    "carrier_hz": _parse_float,
-    "bandwidth_hz": _parse_float,
-    "n_subcarriers": _parse_int,
-    "n_data": _parse_int,
-    "n_sense": _parse_int,
-    "n_cp": _parse_int,
-    "tx_power_dbw": _parse_float,
-    "tx_gain_ref_dbi": _parse_float,
-    "rx_gain_dbi": _parse_float,
-    "n_elements": _parse_int,
-    "n_elements_ref": _parse_int,
-    "d_sat_user_km": _parse_float,
-    "d_sat_target_km": _parse_float,
-    "d_target_rx_km": _parse_float,
-    "rcs_m2": _parse_float,
-    "t_integration_s": _parse_float,
-    "noise_temp_k": _parse_float,
-    "elevation_user_deg": _parse_float,
-    "elevation_target_deg": _parse_float,
-    "doppler_precompensated": _parse_bool,
-    "detection_threshold_db": _parse_float,
-    "tone_placement": _parse_enum(TonePlacement),
-    "array_gain_model": _parse_enum(ArrayGainModel),
-    "rx_gain_comm_dbi": _parse_float,
-    "rx_gain_sense_dbi": _parse_float,
+    f.name: _parse_enum(f.type) if isinstance(f.type, EnumMeta) else _PARSERS_BY_TYPE[f.type]
+    for f in fields(Scenario)
 }
 
 SWEEP_PARSERS = {

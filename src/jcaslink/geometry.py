@@ -1,36 +1,16 @@
-"""Spherical-Earth orbital geometry: slant ranges, circular-orbit speed,
-Doppler shift, and bistatic range utilities.
+"""Spherical-Earth orbital geometry: slant ranges, circular-orbit speed and
+Doppler shift.
 
 All public functions take angles in degrees and distances in km unless the
 name says otherwise. Everything is a pure function of its inputs.
 """
 
 import math
-from dataclasses import dataclass
 
 from .constants import EARTH_RADIUS_KM, MU_EARTH, SPEED_OF_LIGHT
 from .errors import DomainError
 
 _EARTH_RADIUS_SQ = EARTH_RADIUS_KM * EARTH_RADIUS_KM
-
-
-@dataclass(frozen=True)
-class GeometryInputs:
-    """Validated geometry of one link evaluation."""
-
-    orbit_altitude_km: float
-    elevation_user_deg: float
-    elevation_target_deg: float
-    earth_radius_km: float = EARTH_RADIUS_KM
-    mu_earth: float = MU_EARTH
-
-    def __post_init__(self):
-        if self.orbit_altitude_km <= 0:
-            raise DomainError("orbit_altitude_km must be > 0")
-        for name in ("elevation_user_deg", "elevation_target_deg"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 90.0:
-                raise DomainError(f"{name} must be within [0, 90] degrees")
 
 
 def slant_range(altitude_km: float, elevation_deg: float) -> float:
@@ -87,9 +67,3 @@ def doppler_shift(carrier_hz: float, radial_speed_mps: float) -> float:
         raise DomainError("carrier_hz must be > 0")
     return carrier_hz * radial_speed_mps / SPEED_OF_LIGHT
 
-
-def bistatic_range(r_tx_target_km: float, r_target_rx_km: float) -> float:
-    """Transmitter-target-receiver path-sum range in km."""
-    if r_tx_target_km <= 0 or r_target_rx_km <= 0:
-        raise DomainError("bistatic leg ranges must be > 0")
-    return r_tx_target_km + r_target_rx_km

@@ -145,7 +145,10 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
         raise DomainError("freq_hz must be > 0")
     if distance_m <= 0:
         raise DomainError("distance_m must be > 0")
-    return 20.0 * math.log10(_FOUR_PI * distance_m * freq_hz / SPEED_OF_LIGHT)
+    ratio = _FOUR_PI * distance_m * freq_hz / SPEED_OF_LIGHT
+    if ratio == 0.0:
+        raise DomainError("4 pi d f / c underflows to 0")
+    return 20.0 * math.log10(ratio)
 
 
 def noise_power_dbw(temp_k: float, bandwidth_hz: float) -> float:
@@ -154,7 +157,10 @@ def noise_power_dbw(temp_k: float, bandwidth_hz: float) -> float:
         raise DomainError("temp_k must be > 0")
     if bandwidth_hz <= 0:
         raise DomainError("bandwidth_hz must be > 0")
-    return 10.0 * math.log10(BOLTZMANN * temp_k * bandwidth_hz)
+    ktb = BOLTZMANN * temp_k * bandwidth_hz
+    if ktb == 0.0:
+        raise DomainError("k T B underflows to 0")
+    return 10.0 * math.log10(ktb)
 
 
 def array_gain_db(
@@ -167,7 +173,10 @@ def array_gain_db(
     if n_elements < 1 or n_elements_ref < 1:
         raise DomainError("element counts must be >= 1")
     per_ten = 20.0 if model is ArrayGainModel.PER_ELEMENT_POWER else 10.0
-    return ref_gain_dbi + per_ten * math.log10(n_elements / n_elements_ref)
+    try:
+        return ref_gain_dbi + per_ten * math.log10(n_elements / n_elements_ref)
+    except (OverflowError, ValueError):  # the ratio is past the float range or rounds to 0
+        raise DomainError("n_elements / n_elements_ref is outside the floating-point range") from None
 
 
 def tx_array_gain_db(s: Scenario) -> float:

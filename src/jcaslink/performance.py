@@ -31,33 +31,26 @@ def _db_to_linear(value_db: float) -> float:
 @dataclass(frozen=True)
 class PerformanceResult:
     shannon_rate_bps: float
-    modulation_capped_rate_bps: float
+    qpsk_capped_rate_bps: float
     delay_variance_s2: float
     range_mse_m2: float  # bistatic (path-sum) range error
     range_rmse_m: float
     detection_feasible: bool
 
 
-def achievable_rate(
-    snr_db: float,
-    plan: SubcarrierPlan,
-    num: OfdmNumerology,
-    *,
-    include_cp_overhead: bool = True,
-    include_partition_overhead: bool = True,
-) -> tuple[float, float]:
+def achievable_rate(snr_db: float, plan: SubcarrierPlan, num: OfdmNumerology) -> tuple[float, float]:
     """(Shannon, QPSK-capped) rate in bit/s.
 
     shannon = data_fraction * cp_overhead * B * log2(1 + snr); the capped
-    variant cannot exceed n_data * 2 / t_symbol. The two overhead factors
-    can be switched off individually to quote gross-of-overhead rates.
+    variant cannot exceed n_data * 2 / t_symbol.
     """
     if not math.isfinite(snr_db):
         raise DomainError("snr_db must be finite")
-    data_factor = plan.data_fraction if include_partition_overhead else 1.0
-    cp_factor = num.cp_overhead if include_cp_overhead else 1.0
-    shannon = data_factor * cp_factor * num.bandwidth_hz * math.log2(1.0 + _db_to_linear(snr_db))
-    qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
+    shannon = plan.data_fraction * num.cp_overhead * num.bandwidth_hz * math.log2(1.0 + _db_to_linear(snr_db))
+    try:
+        qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
+    except OverflowError:
+        raise DomainError("n_data * 2 bits is past the floating-point range") from None
     return shannon, min(shannon, qpsk_cap)
 
 
@@ -67,8 +60,10 @@ def delay_crlb(post_snr_db: float, rms_bandwidth_hz: float) -> float:
         raise DomainError("rms_bandwidth_hz must be > 0")
     if not math.isfinite(post_snr_db):
         raise DomainError("post_snr_db must be finite")
-    snr = _db_to_linear(post_snr_db)
-    return 1.0 / (_EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz * snr)
+    information = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz * _db_to_linear(post_snr_db)
+    if information == 0.0:
+        raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
+    return 1.0 / information
 
 
 def range_mse(delay_variance_s2: float) -> tuple[float, float]:
@@ -90,6 +85,8 @@ def _sinc(x: float) -> float:
     if x == 0.0:
         return 1.0
     px = math.pi * x
+    if not math.isfinite(px):
+        raise DomainError("Doppler / subcarrier spacing overflows the floating-point range")
     return math.sin(px) / px
 
 

@@ -81,6 +81,14 @@ class BandRecord:
     def overlaps_hz(self, low_hz: float, high_hz: float) -> bool:
         return low_hz <= self.freq_high_hz and high_hz >= self.freq_low_hz
 
+    @property
+    def notes(self) -> str:
+        """The database notes field: the applications text, or the sensor
+        bandwidths as ``sensor=range`` pairs joined by ``'; '``."""
+        if self.service is ServiceKind.COMMUNICATIONS:
+            return self.applications
+        return "; ".join(f"{k}={v}" for k, v in self.sensor_bandwidths)
+
 
 @dataclass(frozen=True)
 class PairingReport:
@@ -111,17 +119,13 @@ def parse_record(line: str) -> BandRecord:
 
 
 def format_record(record: BandRecord) -> str:
-    if record.service is ServiceKind.COMMUNICATIONS:
-        notes = record.applications
-    else:
-        notes = "; ".join(f"{k}={v}" for k, v in record.sensor_bandwidths)
     return "|".join(
         (
             record.service.value,
             record.band_letter,
             str(record.freq_low_hz),
             str(record.freq_high_hz),
-            notes,
+            record.notes,
         )
     )
 

@@ -117,6 +117,15 @@ def selected_radar_snrs(link: LinkResult, mode: Mode) -> tuple[float, float]:
     return link.radar_snr_single_db, link.radar_snr_integrated_db
 
 
+def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
+    """(orbital speed m/s, Doppler shift Hz, Doppler left after precompensation
+    Hz) of the user link, worst case: the full circular-orbit speed at the
+    implied altitude taken as radial."""
+    speed = geometry.orbital_speed(implied_alt_km)
+    shift = geometry.doppler_shift(s.carrier_hz, speed)
+    return speed, shift, 0.0 if s.doppler_precompensated else shift
+
+
 def _point_stage(s: Scenario, mode: Mode):
     """Scenario stage: evaluate once every term that depends neither on
     transmit power nor on element count, then return the point stage,
@@ -129,22 +138,19 @@ def _point_stage(s: Scenario, mode: Mode):
     radar = linkbudget.radar_terms(s, plan)
     gain = linkbudget.integration_gain_db(s.t_integration_s, num)
     rms_bw = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
-    # Uncompensated Doppler (worst case: full orbital speed at the implied
-    # user-link altitude) degrades every leg's SNR by ICI before integration.
-    doppler_hz = None if s.doppler_precompensated else geometry.doppler_shift(
-        s.carrier_hz, geometry.orbital_speed(implied_alt_km)
-    )
+    # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
+    _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
 
     def evaluate(p: float, n: int) -> tuple[LinkResult, PerformanceResult]:
         g_tx = linkbudget.array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
         comm_snr = linkbudget.downlink_snr_db(p, g_tx, comm_rx_gain, fspl, noise_comm)
         radar_rx, bi_single = linkbudget.radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
         _, mono_single = linkbudget.radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
-        if doppler_hz is not None:
+        if applied_doppler_hz:
             spacing = num.subcarrier_spacing_hz
-            comm_snr = performance.ici_effective_snr_db(comm_snr, doppler_hz, spacing)
-            bi_single = performance.ici_effective_snr_db(bi_single, doppler_hz, spacing)
-            mono_single = performance.ici_effective_snr_db(mono_single, doppler_hz, spacing)
+            comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
+            bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
+            mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
 
         link = LinkResult(
             fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
@@ -210,7 +216,7 @@ def _row_cells(row: SweepRow, mode: Mode) -> tuple:
         row.tx_power_dbw,
         row.link.comm_snr_db,
         row.perf.shannon_rate_bps,
-        row.perf.modulation_capped_rate_bps,
+        row.perf.qpsk_capped_rate_bps,
         single,
         integrated,
         row.perf.range_mse_m2,

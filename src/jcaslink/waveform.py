@@ -42,8 +42,11 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
         raise DomainError("n_subcarriers must be >= 1")
     if n_cp_samples < 0:
         raise DomainError("n_cp_samples must be >= 0")
-    t_useful = n_subcarriers / bandwidth_hz
-    t_cp = n_cp_samples / bandwidth_hz
+    try:
+        t_useful = n_subcarriers / bandwidth_hz
+        t_cp = n_cp_samples / bandwidth_hz
+    except OverflowError:
+        raise DomainError("n_subcarriers and n_cp_samples must fit the floating-point range") from None
     t_symbol = t_useful + t_cp
     return OfdmNumerology(
         bandwidth_hz=bandwidth_hz,
@@ -117,7 +120,10 @@ def rms_bandwidth(offsets: tuple[float, ...]) -> float:
     """Root-mean-square spread of tone offsets about band centre."""
     if len(offsets) < 2:
         raise DomainError("need at least 2 tone offsets")
-    return math.sqrt(math.fsum(f * f for f in offsets) / len(offsets))
+    try:
+        return math.sqrt(math.fsum(f * f for f in offsets) / len(offsets))
+    except OverflowError:
+        raise DomainError("the sum of squared tone offsets overflows the floating-point range") from None
 
 
 def sensing_rms_bandwidth(
@@ -136,4 +142,7 @@ def symbols_in(t_integration_s: float, num: OfdmNumerology) -> int:
     """Whole OFDM symbols that fit in the integration window."""
     if t_integration_s < 0:
         raise DomainError("t_integration_s must be >= 0")
-    return math.floor(t_integration_s / num.t_symbol_s)
+    ratio = t_integration_s / num.t_symbol_s
+    if ratio == math.inf:
+        raise DomainError("t_integration_s / t_symbol overflows the floating-point range")
+    return math.floor(ratio)

@@ -45,10 +45,28 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "assignment",
-        ["t_integration_s=nan", "t_integration_s=inf", "carrier_hz=inf", "tx_power_dbw=1e308"],
+        [
+            "t_integration_s=nan",
+            "t_integration_s=inf",
+            "carrier_hz=inf",
+            "tx_power_dbw=1e308",
+            "tx_power_dbw=-4000",
+            "carrier_hz=1e308",
+            "carrier_hz=1e308 doppler_precompensated=false",
+            "noise_temp_k=1e-310",
+            "bandwidth_hz=1e-320",
+            "d_sat_user_km=1e-300 carrier_hz=1e-20",
+            "bandwidth_hz=1e308 t_integration_s=1e308",
+            "bandwidth_hz=3.4e153",
+            pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
+            pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
+            pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),
+            pytest.param(f"n_subcarriers={10**308} n_data={10**308 - 224}", id="n_data=1e308"),
+        ],
     )
     def test_nonfinite_or_overflowing_input_exits_1(self, capsys, assignment):
-        code, _, err = run_cli(capsys, "simulate", "--set", assignment)
+        overrides = [arg for pair in assignment.split() for arg in ("--set", pair)]
+        code, _, err = run_cli(capsys, "simulate", *overrides)
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error[domain]")

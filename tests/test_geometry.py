@@ -5,14 +5,7 @@ import math
 import pytest
 
 from jcaslink.errors import DomainError
-from jcaslink.geometry import (
-    GeometryInputs,
-    bistatic_range,
-    doppler_shift,
-    implied_altitude,
-    orbital_speed,
-    slant_range,
-)
+from jcaslink.geometry import doppler_shift, implied_altitude, orbital_speed, slant_range
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -90,36 +83,3 @@ class TestDopplerShift:
         with pytest.raises(DomainError):
             doppler_shift(0.0, 100.0)
 
-
-class TestBistaticRange:
-    def test_reference_legs_sum_to_500(self):
-        assert bistatic_range(490.0, 10.0) == 500.0
-
-    def test_commutative(self):
-        assert bistatic_range(490.0, 10.0) == bistatic_range(10.0, 490.0)
-
-    def test_unit_legs(self):
-        assert bistatic_range(1.0, 1.0) == 2.0
-
-    @pytest.mark.parametrize("r1,r2", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_nonpositive_leg_rejected(self, r1, r2):
-        with pytest.raises(DomainError):
-            bistatic_range(r1, r2)
-
-
-class TestGeometryInputs:
-    def test_valid(self):
-        g = GeometryInputs(orbit_altitude_km=550.0, elevation_user_deg=10.0, elevation_target_deg=30.0)
-        assert g.earth_radius_km == EARTH_RADIUS_KM
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"orbit_altitude_km": 0.0, "elevation_user_deg": 10.0, "elevation_target_deg": 30.0},
-            {"orbit_altitude_km": 550.0, "elevation_user_deg": 91.0, "elevation_target_deg": 30.0},
-            {"orbit_altitude_km": 550.0, "elevation_user_deg": 10.0, "elevation_target_deg": -5.0},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            GeometryInputs(**kwargs)

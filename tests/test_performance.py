@@ -54,15 +54,6 @@ class TestAchievableRate:
         rates = [achievable_rate(s, ref_plan, ref_num)[0] for s in grid]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_overhead_toggles(self, ref_plan, ref_num):
-        base, _ = achievable_rate(REF_SNR_DB, ref_plan, ref_num)
-        no_cp, _ = achievable_rate(REF_SNR_DB, ref_plan, ref_num, include_cp_overhead=False)
-        gross, _ = achievable_rate(
-            REF_SNR_DB, ref_plan, ref_num, include_cp_overhead=False, include_partition_overhead=False
-        )
-        assert no_cp == pytest.approx(base / ref_num.cp_overhead, rel=1e-12)
-        assert gross == pytest.approx(no_cp / ref_plan.data_fraction, rel=1e-12)
-
     def test_nonfinite_snr_rejected(self, ref_plan, ref_num):
         with pytest.raises(DomainError):
             achievable_rate(math.nan, ref_plan, ref_num)

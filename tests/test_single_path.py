@@ -1,5 +1,6 @@
 """One budget path: every run_sweep row is the run_point result at that grid
-point, bit for bit, and the public scalar budgets agree with both."""
+point, bit for bit, and the public scalar budgets agree with both. Any
+scenario a config file can reach evaluates or raises DomainError."""
 
 from dataclasses import replace
 
@@ -92,3 +93,54 @@ def test_scenario_errors_name_the_first_grid_point(base, powers, elements, fault
         run_sweep(SweepSpec(base=base, power_axis_dbw=tuple(powers), element_axis=tuple(elements)))
     prefix = f"grid point (n_elements={elements[0]}, tx_power_dbw={powers[0]})"
     assert str(sweep_error.value) == f"{prefix}: {point_error.value}"
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COUNTS = st.integers(1, 4096) | st.integers(1, 10**400)
+
+
+@st.composite
+def config_values(draw):
+    """Scenario field values a config file can set, mostly inside the range
+    checks: finite floats from subnormal to the largest double and counts
+    of up to 400 digits. n_sense stays small because the sensing comb is
+    generated tone by tone."""
+    n_sense = draw(st.integers(0, 256))
+    n_subcarriers = draw(COUNTS.filter(lambda n: n >= n_sense))
+    return dict(
+        carrier_hz=draw(POSITIVE),
+        bandwidth_hz=draw(POSITIVE),
+        n_subcarriers=n_subcarriers,
+        n_data=draw(st.integers(0, n_subcarriers - n_sense)),
+        n_sense=n_sense,
+        n_cp=draw(st.just(0) | COUNTS),
+        tx_power_dbw=draw(FINITE),
+        tx_gain_ref_dbi=draw(FINITE),
+        rx_gain_dbi=draw(FINITE),
+        n_elements=draw(COUNTS),
+        n_elements_ref=draw(COUNTS),
+        d_sat_user_km=draw(POSITIVE),
+        d_sat_target_km=draw(POSITIVE),
+        d_target_rx_km=draw(POSITIVE),
+        rcs_m2=draw(POSITIVE),
+        t_integration_s=draw(POSITIVE),
+        noise_temp_k=draw(POSITIVE),
+        elevation_user_deg=draw(st.floats(0.0, 90.0)),
+        elevation_target_deg=draw(st.floats(0.0, 90.0)),
+        doppler_precompensated=draw(st.booleans()),
+        detection_threshold_db=draw(FINITE),
+        tone_placement=draw(st.sampled_from(TonePlacement)),
+        array_gain_model=draw(st.sampled_from(ArrayGainModel)),
+        rx_gain_comm_dbi=draw(st.none() | FINITE),
+        rx_gain_sense_dbi=draw(st.none() | FINITE),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=config_values(), mode=st.sampled_from(Mode))
+def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
+    try:
+        run_point(Scenario(**values), mode)
+    except DomainError:
+        pass
