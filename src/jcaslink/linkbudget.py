@@ -255,25 +255,17 @@ def radar_budget_db(
     return received, received - t.noise_dbw
 
 
-def _bistatic(s: Scenario, plan: SubcarrierPlan) -> tuple[float, float]:
-    t = radar_terms(s, plan)
-    return radar_budget_db(s.tx_power_dbw, t, tx_array_gain_db(s), s.sense_rx_gain_dbi, t.rx_range_db)
-
-
 def _with_integration(single: float, s: Scenario, num: OfdmNumerology) -> tuple[float, float]:
     return single, single + integration_gain_db(s.t_integration_s, num)
-
-
-def bistatic_received_power_dbw(s: Scenario, plan: SubcarrierPlan) -> float:
-    """Echo power at the ground radar receiver over the two bistatic legs."""
-    return _bistatic(s, plan)[0]
 
 
 def bistatic_radar_snr_db(
     s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
 ) -> tuple[float, float]:
     """(single-symbol, coherently integrated) SNR of the bistatic echo."""
-    return _with_integration(_bistatic(s, plan)[1], s, num)
+    t = radar_terms(s, plan)
+    single = radar_budget_db(s.tx_power_dbw, t, tx_array_gain_db(s), s.sense_rx_gain_dbi, t.rx_range_db)[1]
+    return _with_integration(single, s, num)
 
 
 def monostatic_radar_snr_db(

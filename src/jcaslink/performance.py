@@ -63,6 +63,8 @@ def delay_crlb(post_snr_db: float, rms_bandwidth_hz: float) -> float:
     information = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz * _db_to_linear(post_snr_db)
     if information == 0.0:
         raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
+    if information == math.inf:
+        raise DomainError("8 pi^2 Brms^2 snr overflows the floating-point range")
     return 1.0 / information
 
 

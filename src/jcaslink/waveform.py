@@ -90,40 +90,18 @@ def partition(n_total: int, n_data: int, n_sense: int) -> SubcarrierPlan:
     )
 
 
-def tone_offsets(
-    plan: SubcarrierPlan,
-    num: OfdmNumerology,
-    placement: TonePlacement = TonePlacement.COMB_UNIFORM,
-) -> tuple[float, ...]:
-    """Sensing-tone frequency offsets (Hz) from band centre.
+def _times_sqrt(b: float, p: int, q: int) -> float:
+    """b * sqrt(p / q), correctly rounded for a normal result.
 
-    COMB_UNIFORM spreads the tones evenly across the full occupied band,
-    edges included, so two tones sit exactly at +-B/2. BLOCK_EDGE packs them
-    into two contiguous blocks at the band edges, one subcarrier spacing
-    apart, which maximises RMS bandwidth.
-    """
-    n = plan.n_sense
-    if n < 2:
-        raise DomainError("need at least 2 sensing tones")
-    half = num.bandwidth_hz / 2.0
-    if placement is TonePlacement.COMB_UNIFORM:
-        step = num.bandwidth_hz / (n - 1)
-        return tuple(-half + i * step for i in range(n))
-    n_low = n // 2
-    spacing = num.subcarrier_spacing_hz
-    low = [-half + i * spacing for i in range(n_low)]
-    high = [half - i * spacing for i in range(n - n_low)]
-    return tuple(low + high)
-
-
-def rms_bandwidth(offsets: tuple[float, ...]) -> float:
-    """Root-mean-square spread of tone offsets about band centre."""
-    if len(offsets) < 2:
-        raise DomainError("need at least 2 tone offsets")
-    try:
-        return math.sqrt(math.fsum(f * f for f in offsets) / len(offsets))
-    except OverflowError:
-        raise DomainError("the sum of squared tone offsets overflows the floating-point range") from None
+    With b = m 2^e (m a 53-bit integer), r = isqrt(m^2 p 4^k // q) is the
+    floor of sqrt(m^2 p / q) 2^k, which has 114 or more bits for p / q >= 1/12
+    (every tone set here); or-ing in a sticky bit when that root is inexact
+    lets float() round it once, to nearest even."""
+    mantissa, exp = math.frexp(b)
+    m, k = int(math.ldexp(mantissa, 53)), 64
+    scaled, rem = divmod(m * m * p << 2 * k, q)
+    r = math.isqrt(scaled)
+    return math.ldexp(float(r | (rem != 0 or r * r != scaled)), exp - 53 - k)
 
 
 def sensing_rms_bandwidth(
@@ -131,11 +109,29 @@ def sensing_rms_bandwidth(
     num: OfdmNumerology,
     placement: TonePlacement = TonePlacement.COMB_UNIFORM,
 ) -> float:
-    """RMS bandwidth (Hz) of the sensing tone set under ``placement``.
+    """RMS spread (Hz) about band centre of the sensing tones under ``placement``.
 
-    For a dense uniform comb this approaches B/sqrt(12).
+    COMB_UNIFORM spreads the n tones evenly across the full occupied band,
+    edges included, so two tones sit exactly at +-B/2:
+    Brms = B sqrt((n + 1) / (12 (n - 1))), which approaches B/sqrt(12).
+    BLOCK_EDGE packs them into two contiguous blocks of floor(n/2) and
+    n - floor(n/2) tones at the band edges, one subcarrier spacing B/N
+    apart (N = n_subcarriers), which maximises RMS bandwidth:
+    Brms^2 = B^2 (S(n_low) + S(n_high)) / (12 N^2 n), where the sum of
+    (N - 2i)^2 over i < m is S(m) / 3 and
+    S(m) = 3 m N^2 - 6 m (m - 1) N + 2 (m - 1) m (2m - 1).
     """
-    return rms_bandwidth(tone_offsets(plan, num, placement))
+    n = plan.n_sense
+    if n < 2:
+        raise DomainError("need at least 2 sensing tones")
+    if placement is TonePlacement.COMB_UNIFORM:
+        return _times_sqrt(num.bandwidth_hz, n + 1, 12 * (n - 1))
+    n_sc = num.n_subcarriers
+
+    def s(m: int) -> int:
+        return 3 * m * n_sc * n_sc - 6 * m * (m - 1) * n_sc + 2 * (m - 1) * m * (2 * m - 1)
+
+    return _times_sqrt(num.bandwidth_hz, s(n // 2) + s(n - n // 2), 12 * n_sc * n_sc * n)
 
 
 def symbols_in(t_integration_s: float, num: OfdmNumerology) -> int:

@@ -57,7 +57,7 @@ class TestSimulate:
             "bandwidth_hz=1e-320",
             "d_sat_user_km=1e-300 carrier_hz=1e-20",
             "bandwidth_hz=1e308 t_integration_s=1e308",
-            "bandwidth_hz=3.4e153",
+            "bandwidth_hz=1e200",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
             pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
             pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),
@@ -70,6 +70,19 @@ class TestSimulate:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error[domain]")
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "bandwidth_hz=3.4e153",
+            "n_subcarriers=1000000000 n_data=0 n_sense=1000000000 t_integration_s=60",
+        ],
+    )
+    def test_extreme_but_representable_input_evaluates(self, capsys, assignment):
+        overrides = [arg for pair in assignment.split() for arg in ("--set", pair)]
+        code, out, err = run_cli(capsys, "simulate", *overrides)
+        assert (code, err) == (0, "")
+        assert 0.0 < float(report_value(out, "range_rmse_m")) < float("inf")
 
     def test_override_precedence_echoed(self, capsys, tmp_path):
         config = tmp_path / "point.cfg"

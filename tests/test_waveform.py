@@ -1,18 +1,21 @@
 """Numerology, subcarrier partition, sensing-comb RMS bandwidth, symbol counts."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcaslink.errors import DomainError, PartitionOverflowError
 from jcaslink.waveform import (
     TonePlacement,
     numerology,
     partition,
-    rms_bandwidth,
     sensing_rms_bandwidth,
     symbols_in,
-    tone_offsets,
 )
 
 REF_BANDWIDTH_HZ = 1e8
@@ -109,21 +112,72 @@ class TestSensingRmsBandwidth:
         rms_448 = sensing_rms_bandwidth(partition(1024, 500, 448), ref_num)
         assert abs(rms_448 - rms_224) / rms_224 < 0.01
 
-    def test_invariant_under_reversal_and_sign_flip(self, ref_plan, ref_num):
-        offsets = tone_offsets(ref_plan, ref_num)
-        value = rms_bandwidth(offsets)
-        assert rms_bandwidth(tuple(reversed(offsets))) == value
-        assert rms_bandwidth(tuple(-f for f in offsets)) == value
-
     def test_block_edge_beats_uniform_comb(self, ref_plan, ref_num):
         comb = sensing_rms_bandwidth(ref_plan, ref_num, TonePlacement.COMB_UNIFORM)
         block = sensing_rms_bandwidth(ref_plan, ref_num, TonePlacement.BLOCK_EDGE)
-        assert len(tone_offsets(ref_plan, ref_num, TonePlacement.BLOCK_EDGE)) == ref_plan.n_sense
         assert block > comb
 
     def test_too_few_tones(self, ref_num):
         with pytest.raises(DomainError):
             sensing_rms_bandwidth(partition(1024, 800, 1), ref_num)
+
+
+def explicit_tones(bandwidth_hz: float, n_subcarriers: int, n: int, placement: TonePlacement) -> list:
+    """The n sensing-tone offsets (Hz) from band centre, built tone by tone."""
+    half = bandwidth_hz / 2.0
+    if placement is TonePlacement.COMB_UNIFORM:
+        step = bandwidth_hz / (n - 1)
+        return [-half + i * step for i in range(n)]
+    spacing = bandwidth_hz / n_subcarriers
+    return [-half + i * spacing for i in range(n // 2)] + [half - i * spacing for i in range(n - n // 2)]
+
+
+def exact_mean_square(bandwidth_hz: float, n_subcarriers: int, n: int, placement: TonePlacement) -> Fraction:
+    """Mean squared tone offset as an exact rational; for few tones it is
+    summed over the exact offsets, which checks the closed form itself."""
+    b, big_n = Fraction(bandwidth_hz), n_subcarriers
+    if n <= 64:
+        if placement is TonePlacement.COMB_UNIFORM:
+            offsets = [b * (Fraction(i, n - 1) - Fraction(1, 2)) for i in range(n)]
+        else:
+            low = [b * (Fraction(i, big_n) - Fraction(1, 2)) for i in range(n // 2)]
+            offsets = low + [b * (Fraction(1, 2) - Fraction(i, big_n)) for i in range(n - n // 2)]
+        return sum(f * f for f in offsets) / n
+    if placement is TonePlacement.COMB_UNIFORM:
+        return b * b * Fraction(n + 1, 12 * (n - 1))
+
+    def s(m):
+        return 3 * m * big_n**2 - 6 * m * (m - 1) * big_n + 2 * (m - 1) * m * (2 * m - 1)
+
+    return b * b * Fraction(s(n // 2) + s(n - n // 2), 12 * big_n**2 * n)
+
+
+@st.composite
+def tone_sets(draw):
+    n_subcarriers = draw(st.integers(2, 4096) | st.integers(2, 10**40))
+    n = draw(st.integers(2, min(n_subcarriers, 4096)) | st.integers(2, n_subcarriers))
+    return draw(st.floats(1e-300, 1e300)), n_subcarriers, n, draw(st.sampled_from(TonePlacement))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tones=tone_sets())
+def test_rms_bandwidth_is_the_correctly_rounded_exact_value(tones):
+    bandwidth_hz, n_subcarriers, n, placement = tones
+    value = sensing_rms_bandwidth(partition(n_subcarriers, 0, n), numerology(bandwidth_hz, n_subcarriers, 0), placement)
+    if value < sys.float_info.min:  # a subnormal result may round twice
+        return
+    mean_square = exact_mean_square(bandwidth_hz, n_subcarriers, n, placement)
+    root = Fraction(math.isqrt(mean_square.numerator), math.isqrt(mean_square.denominator))
+    if root * root == mean_square:  # a rational root can sit exactly on a rounding tie
+        expected = float(root)
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = float((Decimal(mean_square.numerator) / Decimal(mean_square.denominator)).sqrt())
+    assert value == expected
+    if n <= 4096 and 1e-100 <= bandwidth_hz <= 1e100:  # squares neither overflow nor underflow
+        brute = math.sqrt(math.fsum(f * f for f in explicit_tones(bandwidth_hz, n_subcarriers, n, placement)) / n)
+        assert abs(value - brute) <= 2 * math.ulp(value)
 
 
 class TestSymbolsIn:
