@@ -36,8 +36,8 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
 
     spacing = B/N, t_useful = N/B, t_cp = n_cp/B, t_symbol = t_useful + t_cp.
     """
-    if bandwidth_hz <= 0:
-        raise DomainError("bandwidth_hz must be > 0")
+    if not 0 < bandwidth_hz < math.inf:
+        raise DomainError("bandwidth_hz must be finite and > 0")
     if n_subcarriers < 1:
         raise DomainError("n_subcarriers must be >= 1")
     if n_cp_samples < 0:

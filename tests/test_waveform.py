@@ -63,7 +63,10 @@ class TestNumerology:
         num = numerology(bw, n_sc, n_cp)
         assert num.t_symbol_s * bw == pytest.approx(n_sc + n_cp, rel=1e-12)
 
-    @pytest.mark.parametrize("bw,n_sc,n_cp", [(0.0, 1024, 72), (-1e8, 1024, 72), (1e8, 0, 72), (1e8, 1024, -1)])
+    @pytest.mark.parametrize(
+        "bw,n_sc,n_cp",
+        [(0.0, 1024, 72), (-1e8, 1024, 72), (math.nan, 1024, 72), (math.inf, 1024, 72), (1e8, 0, 72), (1e8, 1024, -1)],
+    )
     def test_domain_errors(self, bw, n_sc, n_cp):
         with pytest.raises(DomainError):
             numerology(bw, n_sc, n_cp)
