@@ -13,6 +13,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def set_args(assignment: str) -> list:
+    """Space-separated key=value pairs as one --set each."""
+    return [arg for pair in assignment.split() for arg in ("--set", pair)]
+
+
 def report_value(out: str, key: str) -> str:
     match = re.search(rf"^{key} = (.+)$", out, re.MULTILINE)
     assert match, f"report line for {key!r} missing"
@@ -65,8 +70,7 @@ class TestSimulate:
         ],
     )
     def test_nonfinite_or_overflowing_input_exits_1(self, capsys, assignment):
-        overrides = [arg for pair in assignment.split() for arg in ("--set", pair)]
-        code, _, err = run_cli(capsys, "simulate", *overrides)
+        code, _, err = run_cli(capsys, "simulate", *set_args(assignment))
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error[domain]")
@@ -79,8 +83,7 @@ class TestSimulate:
         ],
     )
     def test_extreme_but_representable_input_evaluates(self, capsys, assignment):
-        overrides = [arg for pair in assignment.split() for arg in ("--set", pair)]
-        code, out, err = run_cli(capsys, "simulate", *overrides)
+        code, out, err = run_cli(capsys, "simulate", *set_args(assignment))
         assert (code, err) == (0, "")
         assert 0.0 < float(report_value(out, "range_rmse_m")) < float("inf")
 
