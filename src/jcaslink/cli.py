@@ -7,27 +7,15 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 import argparse
 import sys
 from dataclasses import asdict
-from enum import Enum
 
 from . import spectrum
 from ._version import __version__
 from .config import effective_values, scenario_from_values, sweep_spec_from_values
 from .errors import ConfigError, DomainError
-from .sweep import Mode, emit_csv, run_point, run_sweep, user_link_doppler
+from .linkbudget import user_link_doppler
+from .sweep import Mode, emit_csv, format_value, run_point, run_sweep
 
 _GHZ = 1e9
-
-
-def _fmt_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -46,7 +34,7 @@ def _cmd_simulate(args) -> int:
         "doppler_applied_hz": applied,
     }
     sections = {
-        "effective configuration": {**scenario.field_values(), "mode": mode},
+        "effective configuration": {**asdict(scenario), "mode": mode},
         "geometry diagnostics": geometry,
         "link budget": {k: v for k, v in asdict(link).items() if k not in geometry},
         "performance": asdict(perf),
@@ -54,7 +42,7 @@ def _cmd_simulate(args) -> int:
     for title, ledger in sections.items():
         print(f"# {title}")
         for key, value in ledger.items():
-            print(f"{key} = {_fmt_value(value)}")
+            print(f"{key} = {format_value(value)}")
     return 0
 
 
@@ -86,8 +74,6 @@ def _cmd_bands(args) -> int:
         freq_ghz = float(query)
     except ValueError:
         return _print_band_letter(query)
-    if freq_ghz <= 0:
-        raise DomainError("frequency query must be > 0 GHz")
     report = spectrum.check_jcas_pairing(freq_ghz, args.bandwidth_mhz)
     comm = spectrum.lookup_comm_band(freq_ghz)
     if comm is None:

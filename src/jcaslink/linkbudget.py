@@ -1,6 +1,12 @@
 """RF power accounting for the joint downlink: free-space path loss, thermal
-noise, array gain scaling, and communications / bistatic / monostatic radar
-SNR with coherent integration gain.
+noise, array gain scaling, and the communications / bistatic / monostatic
+radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
+
+``link_stage`` is the one budget path. It computes once per scenario every
+term that depends neither on transmit power nor on element count and
+returns the per-point evaluation, (tx_power_dbw, n_elements) -> LinkResult.
+``comm_snr_db``, ``bistatic_radar_snr_db`` and ``monostatic_radar_snr_db``
+read that LinkResult at the scenario's own power and element count.
 
 Everything works in dB on top of SI quantities. Transmit power is spread
 uniformly over all subcarriers, so the sensing leg carries the sensing
@@ -14,9 +20,10 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
+from . import geometry, performance
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import DomainError
-from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
+from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, numerology, partition, symbols_in
 
 _FOUR_PI = 4.0 * math.pi
 _FOUR_PI_DB = 30.0 * math.log10(_FOUR_PI)
@@ -111,10 +118,6 @@ class Scenario:
         g = self.rx_gain_sense_dbi
         return self.rx_gain_dbi if g is None else g
 
-    def field_values(self) -> dict:
-        """Field name -> value, in declaration order (config echo, hashing)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class LinkResult:
@@ -183,26 +186,6 @@ def tx_array_gain_db(s: Scenario) -> float:
     return array_gain_db(s.tx_gain_ref_dbi, s.n_elements, s.n_elements_ref, s.array_gain_model)
 
 
-def comm_terms(s: Scenario) -> tuple[float, float]:
-    """(FSPL, noise power) of the user link, in dB."""
-    fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
-    return fspl, noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
-
-
-def downlink_snr_db(p: float, g_tx: float, g_rx: float, fspl: float, noise: float) -> float:
-    return p + g_tx + g_rx - fspl - noise
-
-
-def comm_snr_db(s: Scenario) -> float:
-    """Downlink SNR: P + G_tx + G_rx - FSPL - N.
-
-    Uses the full-band expression; the data-subcarrier power fraction
-    against data-band noise cancels identically, so no partition term
-    appears.
-    """
-    return downlink_snr_db(s.tx_power_dbw, tx_array_gain_db(s), s.comm_rx_gain_dbi, *comm_terms(s))
-
-
 def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
     """Coherent integration gain, 10 log10 of the symbol count."""
     n = symbols_in(t_integration_s, num)
@@ -255,17 +238,66 @@ def radar_budget_db(
     return received, received - t.noise_dbw
 
 
-def _with_integration(single: float, s: Scenario, num: OfdmNumerology) -> tuple[float, float]:
-    return single, single + integration_gain_db(s.t_integration_s, num)
+def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
+    """(orbital speed m/s, Doppler shift Hz, Doppler left after precompensation
+    Hz) of the user link, worst case: the full circular-orbit speed at the
+    implied altitude taken as radial."""
+    speed = geometry.orbital_speed(implied_alt_km)
+    shift = geometry.doppler_shift(s.carrier_hz, speed)
+    return speed, shift, 0.0 if s.doppler_precompensated else shift
+
+
+def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
+    """Scenario stage of the budget: evaluate once every term that depends
+    neither on transmit power nor on element count, then return the point
+    stage, (tx_power_dbw, n_elements) -> LinkResult."""
+    implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
+    fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
+    noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
+    comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
+    radar = radar_terms(s, plan)
+    gain = integration_gain_db(s.t_integration_s, num)
+    # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
+    _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
+
+    def evaluate(p: float, n: int) -> LinkResult:
+        g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
+        comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
+        radar_rx, bi_single = radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
+        _, mono_single = radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
+        if applied_doppler_hz:
+            spacing = num.subcarrier_spacing_hz
+            comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
+            bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
+            mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
+        return LinkResult(
+            fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
+            bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
+        )
+
+    return evaluate
+
+
+def comm_snr_db(s: Scenario) -> float:
+    """Downlink SNR, P + G_tx + G_rx - FSPL - N, ICI-degraded when Doppler is
+    not precompensated.
+
+    Uses the full-band expression; the data-subcarrier power fraction
+    against data-band noise cancels identically, so no partition term
+    appears. The whole link stage is evaluated, so a scenario without a
+    sensing tone or an integrated symbol is a DomainError here too.
+    """
+    num = numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
+    plan = partition(s.n_subcarriers, s.n_data, s.n_sense)
+    return link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements).comm_snr_db
 
 
 def bistatic_radar_snr_db(
     s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
 ) -> tuple[float, float]:
     """(single-symbol, coherently integrated) SNR of the bistatic echo."""
-    t = radar_terms(s, plan)
-    single = radar_budget_db(s.tx_power_dbw, t, tx_array_gain_db(s), s.sense_rx_gain_dbi, t.rx_range_db)[1]
-    return _with_integration(single, s, num)
+    link = link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements)
+    return link.radar_snr_single_db, link.radar_snr_integrated_db
 
 
 def monostatic_radar_snr_db(
@@ -274,6 +306,5 @@ def monostatic_radar_snr_db(
     """Bistatic budget degenerated to the satellite hearing its own echo:
     both legs are the satellite-target range and the receive gain is the
     transmit array gain."""
-    t = radar_terms(s, plan)
-    g = tx_array_gain_db(s)
-    return _with_integration(radar_budget_db(s.tx_power_dbw, t, g, g, t.target_range_db)[1], s, num)
+    link = link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements)
+    return link.mono_snr_single_db, link.mono_snr_integrated_db

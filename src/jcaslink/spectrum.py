@@ -16,6 +16,7 @@ Frequencies are Hz internally; the public lookups accept GHz (and MHz for
 occupied bandwidth) to match how the allocations are usually quoted.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -182,8 +183,8 @@ def lookup_comm_band(
     freq_ghz: float, registry: tuple[BandRecord, ...] | None = None
 ) -> BandRecord | None:
     """The communications band containing ``freq_ghz``, or None in a gap."""
-    if freq_ghz <= 0:
-        raise DomainError("freq_ghz must be > 0")
+    if not 0 < freq_ghz < math.inf:
+        raise DomainError("freq_ghz must be finite and > 0")
     freq_hz = freq_ghz * _GHZ
     for record in comm_records(registry):
         if record.contains_hz(freq_hz):
@@ -218,10 +219,10 @@ def check_jcas_pairing(
     ``comm_only`` when only the communications match holds; ``unallocated``
     when no communications band contains the carrier.
     """
-    if carrier_ghz <= 0:
-        raise DomainError("carrier_ghz must be > 0")
-    if bandwidth_mhz <= 0:
-        raise DomainError("bandwidth_mhz must be > 0")
+    if not 0 < carrier_ghz < math.inf:
+        raise DomainError("carrier_ghz must be finite and > 0")
+    if not 0 < bandwidth_mhz < math.inf:
+        raise DomainError("bandwidth_mhz must be finite and > 0")
     half_ghz = bandwidth_mhz * _MHZ / _GHZ / 2.0
     comm = lookup_comm_band(carrier_ghz, registry)
     radar = lookup_radar_allocations(carrier_ghz - half_ghz, carrier_ghz + half_ghz, registry)

@@ -2,19 +2,20 @@
 table assembly, and deterministic CSV emission.
 
 Evaluation has two stages: terms that depend only on the scenario are
-computed once per sweep, then each (tx_power, n_elements) grid point adds
-the terms that vary with it. The table imposes a canonical
-(n_elements, tx_power) sort, so output does not depend on axis order.
+computed once per sweep (the budget terms by ``linkbudget.link_stage``),
+then each (tx_power, n_elements) grid point adds the terms that vary with
+it. The table imposes a canonical (n_elements, tx_power) sort, so output
+does not depend on axis order.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import isfinite
 from pathlib import Path
 
-from . import constants, geometry, linkbudget, performance, waveform
+from . import constants, linkbudget, performance, waveform
 from ._version import __version__
 from .errors import DomainError
 from .linkbudget import LinkResult, Scenario
@@ -92,10 +93,12 @@ class ResultTable:
 
 def scenario_fingerprint(s: Scenario) -> str:
     """Deterministic digest over every scenario field and pinned constant."""
-    payload = {
-        name: (value.value if isinstance(value, Enum) else value)
-        for name, value in s.field_values().items()
-    }
+    # fields() rather than asdict(): asdict deep-copies every value, which
+    # costs about a tenth of a small sweep on Python 3.11.
+    payload = {}
+    for f in fields(s):
+        value = getattr(s, f.name)
+        payload[f.name] = value.value if isinstance(value, Enum) else value
     payload["_constants"] = _pinned_constants()
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -117,49 +120,21 @@ def selected_radar_snrs(link: LinkResult, mode: Mode) -> tuple[float, float]:
     return link.radar_snr_single_db, link.radar_snr_integrated_db
 
 
-def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
-    """(orbital speed m/s, Doppler shift Hz, Doppler left after precompensation
-    Hz) of the user link, worst case: the full circular-orbit speed at the
-    implied altitude taken as radial."""
-    speed = geometry.orbital_speed(implied_alt_km)
-    shift = geometry.doppler_shift(s.carrier_hz, speed)
-    return speed, shift, 0.0 if s.doppler_precompensated else shift
-
-
 def _point_stage(s: Scenario, mode: Mode):
-    """Scenario stage: evaluate once every term that depends neither on
-    transmit power nor on element count, then return the point stage,
+    """Scenario stage: the link stage plus the sensing RMS bandwidth, once per
+    scenario; returns the point stage,
     (tx_power_dbw, n_elements) -> (LinkResult, PerformanceResult)."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
-    implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
-    fspl, noise_comm = linkbudget.comm_terms(s)
-    comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
-    radar = linkbudget.radar_terms(s, plan)
-    gain = linkbudget.integration_gain_db(s.t_integration_s, num)
+    link_at = linkbudget.link_stage(s, plan, num)
     rms_bw = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
-    # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
-    _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
 
     def evaluate(p: float, n: int) -> tuple[LinkResult, PerformanceResult]:
-        g_tx = linkbudget.array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
-        comm_snr = linkbudget.downlink_snr_db(p, g_tx, comm_rx_gain, fspl, noise_comm)
-        radar_rx, bi_single = linkbudget.radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
-        _, mono_single = linkbudget.radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
-        if applied_doppler_hz:
-            spacing = num.subcarrier_spacing_hz
-            comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
-            bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
-            mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
-
-        link = LinkResult(
-            fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
-            bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
-        )
+        link = link_at(p, n)
         _, post_snr = selected_radar_snrs(link, mode)
         variance = performance.delay_crlb(post_snr, rms_bw)
         mse, rmse = performance.range_mse(variance)
-        shannon, capped = performance.achievable_rate(comm_snr, plan, num)
+        shannon, capped = performance.achievable_rate(link.comm_snr_db, plan, num)
         feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
         return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
 
@@ -199,14 +174,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+def format_value(value) -> str:
+    """One CSV cell or ledger value; floats carry 9 significant digits."""
     if isinstance(value, float):
         return f"{value:.9g}"
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return "none" if value is None else str(value)
 
 
 def _row_cells(row: SweepRow, mode: Mode) -> tuple:
@@ -233,7 +209,7 @@ def emit_csv(table: ResultTable, destination: str | Path) -> None:
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in table.rows:
-        lines.append(",".join(_fmt(cell) for cell in _row_cells(row, mode)))
+        lines.append(",".join(format_value(cell) for cell in _row_cells(row, mode)))
     try:
         Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -199,6 +199,20 @@ class TestBands:
         assert code == 1
         assert "Z" in err
 
-    def test_nonpositive_frequency_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "bands", "-3.0")
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["-3.0"], "carrier_ghz"),
+            (["nan"], "carrier_ghz"),
+            (["inf"], "carrier_ghz"),
+            (["1e999"], "carrier_ghz"),
+            (["4.2", "--bandwidth-mhz", "inf"], "bandwidth_mhz"),
+        ],
+        ids=["negative", "nan", "inf", "1e999", "bandwidth-inf"],
+    )
+    def test_nonpositive_frequency_exits_1(self, capsys, argv, named):
+        code, _, err = run_cli(capsys, "bands", *argv)
         assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[domain]")
+        assert named in err

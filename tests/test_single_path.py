@@ -5,7 +5,7 @@ scenario a config file can reach evaluates or raises DomainError."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcaslink.errors import DomainError
@@ -59,6 +59,13 @@ def scenarios(draw):
     powers=st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=4, unique=True),
     elements=st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True),
 )
+# Uncompensated Ka-band Doppler: the ICI penalty moves every SNR by tens of dB.
+@example(
+    base=Scenario(doppler_precompensated=False, carrier_hz=30e9),
+    mode=Mode.ALL,
+    powers=[1.0, 9.0],
+    elements=[1, 16],
+)
 def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
     spec = SweepSpec(base=base, power_axis_dbw=tuple(powers), element_axis=tuple(elements), mode=mode)
     table = run_sweep(spec)
@@ -67,13 +74,18 @@ def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
     for row in table.rows:
         s = replace(base, tx_power_dbw=row.tx_power_dbw, n_elements=row.n_elements)
         assert (row.link, row.perf) == run_point(s, mode)
-        if base.doppler_precompensated:
-            link = row.link
-            assert link.comm_snr_db == comm_snr_db(s)
-            bistatic = (link.radar_snr_single_db, link.radar_snr_integrated_db)
-            assert bistatic == bistatic_radar_snr_db(s, plan, num)
-            monostatic = (link.mono_snr_single_db, link.mono_snr_integrated_db)
-            assert monostatic == monostatic_radar_snr_db(s, plan, num)
+        link = row.link
+        assert link.comm_snr_db == comm_snr_db(s)
+        bistatic = (link.radar_snr_single_db, link.radar_snr_integrated_db)
+        assert bistatic == bistatic_radar_snr_db(s, plan, num)
+        monostatic = (link.mono_snr_single_db, link.mono_snr_integrated_db)
+        assert monostatic == monostatic_radar_snr_db(s, plan, num)
+
+
+@pytest.mark.parametrize("fault", [{"n_sense": 0}, {"t_integration_s": 0.0}])
+def test_comm_snr_shares_the_link_stage_domain(fault):
+    with pytest.raises(DomainError):
+        comm_snr_db(Scenario(**fault))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """Band-registry contents, lookups, pairing verdicts, and round-trip."""
 
 import itertools
+import math
 
 import pytest
 
@@ -43,9 +44,10 @@ def test_lookup_gap_returns_none():
     assert lookup_comm_band(3.0) is None
 
 
-def test_lookup_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        lookup_comm_band(0.0)
+@pytest.mark.parametrize("freq_ghz", [0.0, -3.0, math.nan, math.inf])
+def test_lookup_rejects_nonpositive(freq_ghz):
+    with pytest.raises(DomainError, match="freq_ghz"):
+        lookup_comm_band(freq_ghz)
 
 
 def test_radar_allocations_empty_around_reference_carrier():
