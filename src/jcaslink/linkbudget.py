@@ -2,9 +2,10 @@
 noise, array gain scaling, and the communications / bistatic / monostatic
 radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
 
-``link_stage`` is the one budget path. It computes once per scenario every
-term that depends neither on transmit power nor on element count and
-returns the per-point evaluation, (tx_power_dbw, n_elements) -> LinkResult.
+``link_stage`` is the one budget path, in three stages. It computes once
+per scenario every term that depends neither on transmit power nor on
+element count and returns the element stage, which adds the array gain once
+per element count: n_elements -> (tx_power_dbw -> LinkResult).
 ``comm_snr_db``, ``bistatic_radar_snr_db`` and ``monostatic_radar_snr_db``
 read that LinkResult at the scenario's own power and element count.
 
@@ -119,7 +120,7 @@ class Scenario:
         return self.rx_gain_dbi if g is None else g
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkResult:
     """Intermediate and final budget figures for one scenario point.
 
@@ -249,8 +250,8 @@ def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float,
 
 def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     """Scenario stage of the budget: evaluate once every term that depends
-    neither on transmit power nor on element count, then return the point
-    stage, (tx_power_dbw, n_elements) -> LinkResult."""
+    neither on transmit power nor on element count, then return the element
+    stage, n_elements -> (tx_power_dbw -> LinkResult)."""
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
@@ -259,23 +260,27 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
+    spacing = num.subcarrier_spacing_hz
 
-    def evaluate(p: float, n: int) -> LinkResult:
+    def at_elements(n: int):
         g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
-        comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
-        radar_rx, bi_single = radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
-        _, mono_single = radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
-        if applied_doppler_hz:
-            spacing = num.subcarrier_spacing_hz
-            comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
-            bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
-            mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
-        return LinkResult(
-            fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
-            bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
-        )
 
-    return evaluate
+        def evaluate(p: float) -> LinkResult:
+            comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
+            radar_rx, bi_single = radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
+            _, mono_single = radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
+            if applied_doppler_hz:
+                comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
+                bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
+                mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
+            return LinkResult(
+                fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
+                bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
+            )
+
+        return evaluate
+
+    return at_elements
 
 
 def comm_snr_db(s: Scenario) -> float:
@@ -289,14 +294,14 @@ def comm_snr_db(s: Scenario) -> float:
     """
     num = numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = partition(s.n_subcarriers, s.n_data, s.n_sense)
-    return link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements).comm_snr_db
+    return link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw).comm_snr_db
 
 
 def bistatic_radar_snr_db(
     s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
 ) -> tuple[float, float]:
     """(single-symbol, coherently integrated) SNR of the bistatic echo."""
-    link = link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements)
+    link = link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw)
     return link.radar_snr_single_db, link.radar_snr_integrated_db
 
 
@@ -306,5 +311,5 @@ def monostatic_radar_snr_db(
     """Bistatic budget degenerated to the satellite hearing its own echo:
     both legs are the satellite-target range and the receive gain is the
     transmit array gain."""
-    link = link_stage(s, plan, num)(s.tx_power_dbw, s.n_elements)
+    link = link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw)
     return link.mono_snr_single_db, link.mono_snr_integrated_db

@@ -28,7 +28,7 @@ def _db_to_linear(value_db: float) -> float:
         raise DomainError(f"{value_db!r} dB overflows the linear scale") from None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PerformanceResult:
     shannon_rate_bps: float
     qpsk_capped_rate_bps: float

@@ -1,10 +1,10 @@
 """Grid evaluation over transmit power and antenna-element count, result
 table assembly, and deterministic CSV emission.
 
-Evaluation has two stages: terms that depend only on the scenario are
+Evaluation has three stages: terms that depend only on the scenario are
 computed once per sweep (the budget terms by ``linkbudget.link_stage``),
-then each (tx_power, n_elements) grid point adds the terms that vary with
-it. The table imposes a canonical (n_elements, tx_power) sort, so output
+the array gain once per element count, and each transmit power adds the
+terms that vary with it. The table imposes a canonical (n_elements, tx_power) sort, so output
 does not depend on axis order.
 """
 
@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, fields
 from enum import Enum
 from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 
 from . import constants, linkbudget, performance, waveform
@@ -77,7 +78,7 @@ class SweepSpec:
                 raise DomainError(f"{name} values must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRow:
     tx_power_dbw: float
     n_elements: int
@@ -113,38 +114,45 @@ def _pinned_constants() -> dict:
     }
 
 
-def selected_radar_snrs(link: LinkResult, mode: Mode) -> tuple[float, float]:
-    """(single, integrated) sensing SNR for the mode's radar configuration."""
+def radar_snrs(mode: Mode):
+    """LinkResult -> (single, integrated) sensing SNR of the mode's radar
+    configuration; choose it once per sweep, not per point."""
     if mode is Mode.RADAR_MONOSTATIC:
-        return link.mono_snr_single_db, link.mono_snr_integrated_db
-    return link.radar_snr_single_db, link.radar_snr_integrated_db
+        return attrgetter("mono_snr_single_db", "mono_snr_integrated_db")
+    return attrgetter("radar_snr_single_db", "radar_snr_integrated_db")
 
 
 def _point_stage(s: Scenario, mode: Mode):
     """Scenario stage: the link stage plus the sensing RMS bandwidth, once per
-    scenario; returns the point stage,
-    (tx_power_dbw, n_elements) -> (LinkResult, PerformanceResult)."""
+    scenario; returns the element stage,
+    n_elements -> (tx_power_dbw -> (LinkResult, PerformanceResult))."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
-    link_at = linkbudget.link_stage(s, plan, num)
+    link_stage = linkbudget.link_stage(s, plan, num)
     rms_bw = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
+    snrs = radar_snrs(mode)
 
-    def evaluate(p: float, n: int) -> tuple[LinkResult, PerformanceResult]:
-        link = link_at(p, n)
-        _, post_snr = selected_radar_snrs(link, mode)
-        variance = performance.delay_crlb(post_snr, rms_bw)
-        mse, rmse = performance.range_mse(variance)
-        shannon, capped = performance.achievable_rate(link.comm_snr_db, plan, num)
-        feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
-        return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
+    def at_elements(n: int):
+        link_at = link_stage(n)
 
-    return evaluate
+        def evaluate(p: float) -> tuple[LinkResult, PerformanceResult]:
+            link = link_at(p)
+            _, post_snr = snrs(link)
+            variance = performance.delay_crlb(post_snr, rms_bw)
+            mse, rmse = performance.range_mse(variance)
+            shannon, capped = performance.achievable_rate(link.comm_snr_db, plan, num)
+            feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
+            return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
+
+        return evaluate
+
+    return at_elements
 
 
 def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
     """Evaluate one scenario point end to end, as the 1 x 1 grid of run_sweep:
     geometry -> waveform -> link budget -> performance, fully deterministic."""
-    return _point_stage(s, mode)(s.tx_power_dbw, s.n_elements)
+    return _point_stage(s, mode)(s.n_elements)(s.tx_power_dbw)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
@@ -156,11 +164,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     rows = []
     n, p = spec.element_axis[0], spec.power_axis_dbw[0]
     try:
-        evaluate = _point_stage(spec.base, spec.mode)
+        at_elements = _point_stage(spec.base, spec.mode)
         for n in spec.element_axis:
+            p = spec.power_axis_dbw[0]  # an array-gain error names the row's first point
+            evaluate = at_elements(n)
             for p in spec.power_axis_dbw:
-                link, perf = evaluate(p, n)
-                rows.append(SweepRow(tx_power_dbw=p, n_elements=n, link=link, perf=perf))
+                link, perf = evaluate(p)
+                rows.append(SweepRow(p, n, link, perf))
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
     rows.sort(key=lambda r: (r.n_elements, r.tx_power_dbw))
@@ -174,10 +184,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
 
+FLOAT_SPEC = ".9g"  # format spec of every float cell and ledger value
+
+
 def format_value(value) -> str:
     """One CSV cell or ledger value; floats carry 9 significant digits."""
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{value:{FLOAT_SPEC}}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
@@ -185,31 +198,26 @@ def format_value(value) -> str:
     return "none" if value is None else str(value)
 
 
-def _row_cells(row: SweepRow, mode: Mode) -> tuple:
-    single, integrated = selected_radar_snrs(row.link, mode)
-    return (
-        row.n_elements,
-        row.tx_power_dbw,
-        row.link.comm_snr_db,
-        row.perf.shannon_rate_bps,
-        row.perf.qpsk_capped_rate_bps,
-        single,
-        integrated,
-        row.perf.range_mse_m2,
-        row.perf.range_rmse_m,
-        row.perf.detection_feasible,
-        mode.value,
-    )
-
-
 def emit_csv(table: ResultTable, destination: str | Path) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
-    row, floats at 9 significant digits. Re-emission is byte-identical."""
+    row, floats at 9 significant digits. Re-emission is byte-identical.
+
+    The seven SNR, rate and range columns are floats in every row, so they
+    take FLOAT_SPEC directly; the axis values may be ints in an API-built
+    spec and go through format_value."""
     mode = Mode(table.metadata["mode"])
+    snrs, fmt, spec, label = radar_snrs(mode), format_value, FLOAT_SPEC, mode.value
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in table.rows:
-        lines.append(",".join(format_value(cell) for cell in _row_cells(row, mode)))
+        link, perf = row.link, row.perf
+        single, integrated = snrs(link)
+        lines.append(
+            f"{fmt(row.n_elements)},{fmt(row.tx_power_dbw)},{link.comm_snr_db:{spec}},"
+            f"{perf.shannon_rate_bps:{spec}},{perf.qpsk_capped_rate_bps:{spec}},"
+            f"{single:{spec}},{integrated:{spec}},{perf.range_mse_m2:{spec}},"
+            f"{perf.range_rmse_m:{spec}},{fmt(perf.detection_feasible)},{label}"
+        )
     try:
         Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

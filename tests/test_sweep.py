@@ -1,10 +1,16 @@
 """Grid evaluation, table assembly, fingerprinting and CSV emission."""
 
 import csv
+import tempfile
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jcaslink import linkbudget, waveform
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import Scenario
 from jcaslink.sweep import (
@@ -12,10 +18,12 @@ from jcaslink.sweep import (
     Mode,
     SweepSpec,
     emit_csv,
+    format_value,
     run_point,
     run_sweep,
     scenario_fingerprint,
 )
+from jcaslink.waveform import TonePlacement
 
 
 @pytest.fixture
@@ -121,6 +129,31 @@ class TestRunSweep:
         assert all(r.perf.detection_feasible is False for r in table.rows)
         assert all(r.perf.range_mse_m2 > 0 for r in table.rows)
 
+    def test_stages_run_once_per_scenario_and_per_element_count(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("array_gain_db", "fspl_db", "integration_gain_db", "noise_power_dbw"):
+            count(linkbudget, name)
+        count(waveform, "sensing_rms_bandwidth")
+        spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
+        assert len(run_sweep(spec).rows) == 2000
+        assert calls == {
+            "array_gain_db": 40,
+            "fspl_db": 1,
+            "integration_gain_db": 1,
+            "sensing_rms_bandwidth": 1,
+            "noise_power_dbw": 2,  # communications band and sensing band
+        }
+
 
 class TestFingerprint:
     def test_stable_for_identical_scenarios(self):
@@ -186,6 +219,49 @@ class TestEmitCsv:
                 row.link.mono_snr_integrated_db, rel=5e-9
             )
             assert parsed["detection_feasible"] == "false"
+
+    # Integer axis values, as an API-built spec may hold, go through
+    # format_value like every other cell: 10**10 elements is "10000000000",
+    # not the "1e+10" a float format would give.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(Mode),
+        placement=st.sampled_from(TonePlacement),
+        precompensated=st.booleans(),
+        powers=st.one_of(
+            st.lists(st.integers(-30, 40), min_size=1, max_size=4, unique=True),
+            st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=4, unique=True),
+        ),
+        elements=st.lists(st.integers(1, 10**12), min_size=1, max_size=3, unique=True),
+    )
+    @example(Mode.ALL, TonePlacement.COMB_UNIFORM, True, [3, -7], [1, 10**10])
+    @example(Mode.RADAR_MONOSTATIC, TonePlacement.BLOCK_EDGE, False, [0.5, 9], [16])
+    def test_bytes_equal_format_value_on_every_cell(self, mode, placement, precompensated, powers, elements):
+        base = Scenario(tone_placement=placement, doppler_precompensated=precompensated)
+        table = run_sweep(SweepSpec(base, tuple(powers), tuple(elements), mode))
+        mono = mode is Mode.RADAR_MONOSTATIC
+        lines = [f"# {key}={value}" for key, value in table.metadata.items()]
+        lines.append(",".join(CSV_COLUMNS))
+        for row in table.rows:
+            link, perf = row.link, row.perf
+            cells = (
+                row.n_elements,
+                row.tx_power_dbw,
+                link.comm_snr_db,
+                perf.shannon_rate_bps,
+                perf.qpsk_capped_rate_bps,
+                link.mono_snr_single_db if mono else link.radar_snr_single_db,
+                link.mono_snr_integrated_db if mono else link.radar_snr_integrated_db,
+                perf.range_mse_m2,
+                perf.range_rmse_m,
+                perf.detection_feasible,
+                mode,
+            )
+            lines.append(",".join(format_value(cell) for cell in cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sweep.csv"
+            emit_csv(table, out)
+            assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_unwritable_destination_raises(self, tmp_path):
         table = run_sweep(SweepSpec(power_axis_dbw=(1.0,), element_axis=(1,)))
