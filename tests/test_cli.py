@@ -207,8 +207,9 @@ class TestBands:
             (["inf"], "carrier_ghz"),
             (["1e999"], "carrier_ghz"),
             (["4.2", "--bandwidth-mhz", "inf"], "bandwidth_mhz"),
+            (["4.2", "--bandwidth-mhz", "1e308"], "bandwidth_mhz"),
         ],
-        ids=["negative", "nan", "inf", "1e999", "bandwidth-inf"],
+        ids=["negative", "nan", "inf", "1e999", "bandwidth-inf", "bandwidth-1e308"],
     )
     def test_nonpositive_frequency_exits_1(self, capsys, argv, named):
         code, _, err = run_cli(capsys, "bands", *argv)
