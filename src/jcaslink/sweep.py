@@ -4,8 +4,8 @@ table assembly, and deterministic CSV emission.
 Evaluation has three stages: terms that depend only on the scenario are
 computed once per sweep (the budget terms by ``linkbudget.link_stage``),
 the array gain once per element count, and each transmit power adds the
-terms that vary with it. The table imposes a canonical (n_elements, tx_power) sort, so output
-does not depend on axis order.
+terms that vary with it. The table imposes a canonical (n_elements,
+tx_power) sort, so output does not depend on axis order.
 """
 
 import hashlib
@@ -206,17 +206,18 @@ def emit_csv(table: ResultTable, destination: str | Path) -> None:
     take FLOAT_SPEC directly; the axis values may be ints in an API-built
     spec and go through format_value."""
     mode = Mode(table.metadata["mode"])
-    snrs, fmt, spec, label = radar_snrs(mode), format_value, FLOAT_SPEC, mode.value
+    snrs, label = radar_snrs(mode), mode.value
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in table.rows:
         link, perf = row.link, row.perf
         single, integrated = snrs(link)
         lines.append(
-            f"{fmt(row.n_elements)},{fmt(row.tx_power_dbw)},{link.comm_snr_db:{spec}},"
-            f"{perf.shannon_rate_bps:{spec}},{perf.qpsk_capped_rate_bps:{spec}},"
-            f"{single:{spec}},{integrated:{spec}},{perf.range_mse_m2:{spec}},"
-            f"{perf.range_rmse_m:{spec}},{fmt(perf.detection_feasible)},{label}"
+            f"{format_value(row.n_elements)},{format_value(row.tx_power_dbw)},"
+            f"{link.comm_snr_db:{FLOAT_SPEC}},{perf.shannon_rate_bps:{FLOAT_SPEC}},"
+            f"{perf.qpsk_capped_rate_bps:{FLOAT_SPEC}},{single:{FLOAT_SPEC}},"
+            f"{integrated:{FLOAT_SPEC}},{perf.range_mse_m2:{FLOAT_SPEC}},"
+            f"{perf.range_rmse_m:{FLOAT_SPEC}},{format_value(perf.detection_feasible)},{label}"
         )
     try:
         Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
