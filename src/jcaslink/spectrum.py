@@ -224,11 +224,10 @@ def check_jcas_pairing(
     if not 0 < bandwidth_mhz < math.inf:
         raise DomainError("bandwidth_mhz must be finite and > 0")
     half_ghz = bandwidth_mhz * _MHZ / _GHZ / 2.0
-    low_ghz, high_ghz = carrier_ghz - half_ghz, carrier_ghz + half_ghz
-    if not (math.isfinite(low_ghz) and math.isfinite(high_ghz)):
+    if carrier_ghz + half_ghz == math.inf:  # carrier > 0, so the lower edge is then finite
         raise DomainError("bandwidth_mhz puts the occupied-band edges past the floating-point range")
     comm = lookup_comm_band(carrier_ghz, registry)
-    radar = lookup_radar_allocations(low_ghz, high_ghz, registry)
+    radar = lookup_radar_allocations(carrier_ghz - half_ghz, carrier_ghz + half_ghz, registry)
     if comm is None:
         verdict = PairingVerdict.UNALLOCATED
     elif radar:
