@@ -201,7 +201,7 @@ def format_value(value) -> str:
 def emit_csv(table: ResultTable, destination: str | Path) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     row, floats at 9 significant digits. Re-emission is byte-identical.
-    An API-built spec may hold int axis values, so only the axes go through
+    An API-built spec may hold int axis values, so the axes go through
     format_value; the SNR, rate and range floats take FLOAT_SPEC directly."""
     mode = Mode(table.metadata["mode"])
     snrs, label = radar_snrs(mode), mode.value
