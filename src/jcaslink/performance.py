@@ -18,6 +18,7 @@ from .waveform import OfdmNumerology, SubcarrierPlan
 QPSK_BITS_PER_SYMBOL = 2
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
+_INFORMATION_OVERFLOWS = "8 pi^2 Brms^2 snr overflows the floating-point range"
 
 
 def _db_to_linear(value_db: float) -> float:
@@ -38,34 +39,54 @@ class PerformanceResult:
     detection_feasible: bool
 
 
-def achievable_rate(snr_db: float, plan: SubcarrierPlan, num: OfdmNumerology) -> tuple[float, float]:
-    """(Shannon, QPSK-capped) rate in bit/s.
-
-    shannon = data_fraction * cp_overhead * B * log2(1 + snr); the capped
-    variant cannot exceed n_data * 2 / t_symbol.
-    """
-    if not math.isfinite(snr_db):
-        raise DomainError("snr_db must be finite")
-    shannon = plan.data_fraction * num.cp_overhead * num.bandwidth_hz * math.log2(1.0 + _db_to_linear(snr_db))
+def rate_stage(plan: SubcarrierPlan, num: OfdmNumerology):
+    """Scenario stage of the rate: prefactor = data_fraction * cp_overhead * B and cap =
+    n_data * 2 / t_symbol, once; snr_db -> (prefactor log2(1 + snr), min(that, cap)) bit/s."""
+    prefactor = plan.data_fraction * num.cp_overhead * num.bandwidth_hz
     try:
         qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
     except OverflowError:
         raise DomainError("n_data * 2 bits is past the floating-point range") from None
-    return shannon, min(shannon, qpsk_cap)
+
+    def rate(snr_db: float) -> tuple[float, float]:
+        if not math.isfinite(snr_db):
+            raise DomainError("snr_db must be finite")
+        shannon = prefactor * math.log2(1.0 + _db_to_linear(snr_db))
+        return shannon, min(shannon, qpsk_cap)
+
+    return rate
+
+
+def achievable_rate(snr_db: float, plan: SubcarrierPlan, num: OfdmNumerology) -> tuple[float, float]:
+    """(Shannon, QPSK-capped) rate in bit/s: the 1 x 1 case of rate_stage."""
+    return rate_stage(plan, num)(snr_db)
+
+
+def delay_stage(rms_bandwidth_hz: float):
+    """Scenario stage of the delay bound: 8 pi^2 Brms^2, once; returns post_snr_db
+    -> minimum delay-estimation variance (s^2), 1 / (8 pi^2 Brms^2 snr)."""
+    if rms_bandwidth_hz <= 0:
+        raise DomainError("rms_bandwidth_hz must be > 0")
+    scale = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz
+    if scale == math.inf:
+        raise DomainError(_INFORMATION_OVERFLOWS)
+
+    def variance(post_snr_db: float) -> float:
+        if not math.isfinite(post_snr_db):
+            raise DomainError("post_snr_db must be finite")
+        information = scale * _db_to_linear(post_snr_db)
+        if information == 0.0:
+            raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
+        if information == math.inf:
+            raise DomainError(_INFORMATION_OVERFLOWS)
+        return 1.0 / information
+
+    return variance
 
 
 def delay_crlb(post_snr_db: float, rms_bandwidth_hz: float) -> float:
-    """Minimum delay-estimation variance (s^2): 1 / (8 pi^2 Brms^2 snr)."""
-    if rms_bandwidth_hz <= 0:
-        raise DomainError("rms_bandwidth_hz must be > 0")
-    if not math.isfinite(post_snr_db):
-        raise DomainError("post_snr_db must be finite")
-    information = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz * _db_to_linear(post_snr_db)
-    if information == 0.0:
-        raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
-    if information == math.inf:
-        raise DomainError("8 pi^2 Brms^2 snr overflows the floating-point range")
-    return 1.0 / information
+    """Minimum delay-estimation variance (s^2): the 1 x 1 case of delay_stage."""
+    return delay_stage(rms_bandwidth_hz)(post_snr_db)
 
 
 def range_mse(delay_variance_s2: float) -> tuple[float, float]:
@@ -73,6 +94,8 @@ def range_mse(delay_variance_s2: float) -> tuple[float, float]:
     if delay_variance_s2 < 0:
         raise DomainError("delay_variance_s2 must be >= 0")
     mse = SPEED_OF_LIGHT * SPEED_OF_LIGHT * delay_variance_s2
+    if mse == math.inf:
+        raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
     return mse, math.sqrt(mse)
 
 

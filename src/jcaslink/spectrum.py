@@ -224,10 +224,13 @@ def check_jcas_pairing(
     if not 0 < bandwidth_mhz < math.inf:
         raise DomainError("bandwidth_mhz must be finite and > 0")
     half_ghz = bandwidth_mhz * _MHZ / _GHZ / 2.0
-    if carrier_ghz + half_ghz == math.inf:  # carrier > 0, so the lower edge is then finite
+    low_ghz, high_ghz = carrier_ghz - half_ghz, carrier_ghz + half_ghz
+    if high_ghz == math.inf:  # carrier > 0, so the lower edge is then finite
         raise DomainError("bandwidth_mhz puts the occupied-band edges past the floating-point range")
+    if low_ghz == high_ghz:
+        raise DomainError("the occupied-band edges carrier_ghz +- bandwidth_mhz / 2 round to one value")
     comm = lookup_comm_band(carrier_ghz, registry)
-    radar = lookup_radar_allocations(carrier_ghz - half_ghz, carrier_ghz + half_ghz, registry)
+    radar = lookup_radar_allocations(low_ghz, high_ghz, registry)
     if comm is None:
         verdict = PairingVerdict.UNALLOCATED
     elif radar:

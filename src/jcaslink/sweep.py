@@ -129,7 +129,8 @@ def _point_stage(s: Scenario, mode: Mode):
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
     link_stage = linkbudget.link_stage(s, plan, num)
-    rms_bw = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
+    delay = performance.delay_stage(waveform.sensing_rms_bandwidth(plan, num, s.tone_placement))
+    rate = performance.rate_stage(plan, num)
     snrs = radar_snrs(mode)
 
     def at_elements(n: int):
@@ -138,9 +139,9 @@ def _point_stage(s: Scenario, mode: Mode):
         def evaluate(p: float) -> tuple[LinkResult, PerformanceResult]:
             link = link_at(p)
             _, post_snr = snrs(link)
-            variance = performance.delay_crlb(post_snr, rms_bw)
+            variance = delay(post_snr)
             mse, rmse = performance.range_mse(variance)
-            shannon, capped = performance.achievable_rate(link.comm_snr_db, plan, num)
+            shannon, capped = rate(link.comm_snr_db)
             feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
             return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
 
@@ -201,22 +202,25 @@ def format_value(value) -> str:
 def emit_csv(table: ResultTable, destination: str | Path) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     row, floats at 9 significant digits. Re-emission is byte-identical.
-    An API-built spec may hold int axis values, so the axes go through
-    format_value; the SNR, rate and range floats take FLOAT_SPEC directly."""
+    Each row is one %-format whose seven float cells take FLOAT_SPEC. An
+    API-built spec may hold int axis values, so each distinct axis value
+    goes through format_value once; SweepSpec keeps them distinct."""
     mode = Mode(table.metadata["mode"])
-    snrs, label = radar_snrs(mode), mode.value
+    snrs = radar_snrs(mode)
+    row_format = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
+    elements = {n: format_value(n) for n in {row.n_elements for row in table.rows}}
+    powers = {p: format_value(p) for p in {row.tx_power_dbw for row in table.rows}}
+    tails = {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)}
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in table.rows:
         link, perf = row.link, row.perf
         single, integrated = snrs(link)
-        lines.append(
-            f"{format_value(row.n_elements)},{format_value(row.tx_power_dbw)},"
-            f"{link.comm_snr_db:{FLOAT_SPEC}},{perf.shannon_rate_bps:{FLOAT_SPEC}},"
-            f"{perf.qpsk_capped_rate_bps:{FLOAT_SPEC}},{single:{FLOAT_SPEC}},"
-            f"{integrated:{FLOAT_SPEC}},{perf.range_mse_m2:{FLOAT_SPEC}},"
-            f"{perf.range_rmse_m:{FLOAT_SPEC}},{format_value(perf.detection_feasible)},{label}"
-        )
+        lines.append(row_format % (
+            elements[row.n_elements], powers[row.tx_power_dbw], link.comm_snr_db,
+            perf.shannon_rate_bps, perf.qpsk_capped_rate_bps, single, integrated,
+            perf.range_mse_m2, perf.range_rmse_m, tails[perf.detection_feasible],
+        ))
     try:
         Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -63,6 +63,8 @@ class TestSimulate:
             "d_sat_user_km=1e-300 carrier_hz=1e-20",
             "bandwidth_hz=1e308 t_integration_s=1e308",
             "bandwidth_hz=1e200",
+            "bandwidth_hz=1e200 tx_power_dbw=-4000",
+            "tx_power_dbw=-3100",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
             pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
             pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),
@@ -208,8 +210,9 @@ class TestBands:
             (["1e999"], "carrier_ghz"),
             (["4.2", "--bandwidth-mhz", "inf"], "bandwidth_mhz"),
             (["4.2", "--bandwidth-mhz", "1e308"], "bandwidth_mhz"),
+            (["1e300"], "carrier_ghz"),
         ],
-        ids=["negative", "nan", "inf", "1e999", "bandwidth-inf", "bandwidth-1e308"],
+        ids=["negative", "nan", "inf", "1e999", "bandwidth-inf", "bandwidth-1e308", "1e300"],
     )
     def test_nonpositive_frequency_exits_1(self, capsys, argv, named):
         code, _, err = run_cli(capsys, "bands", *argv)

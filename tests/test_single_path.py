@@ -2,7 +2,8 @@
 point, bit for bit, and the public scalar budgets agree with both. Any
 scenario a config file can reach evaluates or raises DomainError."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,8 +149,14 @@ def config_values(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(values=config_values(), mode=st.sampled_from(Mode))
+@example(values={"bandwidth_hz": 1e200, "tx_power_dbw": -4000.0}, mode=Mode.ALL)  # inf * 0 delay information
+@example(values={"tx_power_dbw": -3100.0}, mode=Mode.ALL)  # c^2 * variance overflows
 def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
     try:
-        run_point(Scenario(**values), mode)
+        _, perf = run_point(Scenario(**values), mode)
     except DomainError:
-        pass
+        return
+    for f in fields(perf):
+        value = getattr(perf, f.name)
+        if isinstance(value, float):
+            assert 0.0 <= value < math.inf, f"{f.name} = {value!r}"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcaslink import linkbudget, waveform
+from jcaslink import linkbudget, performance, waveform
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import Scenario
 from jcaslink.sweep import (
@@ -144,6 +144,8 @@ class TestRunSweep:
         for name in ("array_gain_db", "fspl_db", "integration_gain_db", "noise_power_dbw"):
             count(linkbudget, name)
         count(waveform, "sensing_rms_bandwidth")
+        for name in ("rate_stage", "delay_stage", "achievable_rate", "delay_crlb"):  # the last two: never
+            count(performance, name)
         spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
         assert len(run_sweep(spec).rows) == 2000
         assert calls == {
@@ -152,6 +154,8 @@ class TestRunSweep:
             "integration_gain_db": 1,
             "sensing_rms_bandwidth": 1,
             "noise_power_dbw": 2,  # communications band and sensing band
+            "rate_stage": 1,
+            "delay_stage": 1,
         }
 
 
