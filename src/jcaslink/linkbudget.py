@@ -20,6 +20,7 @@ same reason.
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 
 from . import geometry, performance
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
@@ -104,10 +105,9 @@ class Scenario:
             if not 0.0 <= getattr(self, name) <= 90.0:
                 raise DomainError(f"{name} must be within [0, 90] degrees")
         # Last, so the range checks above keep their messages.
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(_SCENARIO_FIELDS, _scenario_values(self)):
             if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite")
+                raise DomainError(f"{name} must be finite")
 
     @property
     def comm_rx_gain_dbi(self) -> float:
@@ -118,6 +118,10 @@ class Scenario:
     def sense_rx_gain_dbi(self) -> float:
         g = self.rx_gain_sense_dbi
         return self.rx_gain_dbi if g is None else g
+
+
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # in declaration order
+_scenario_values = attrgetter(*_SCENARIO_FIELDS)
 
 
 @dataclass(slots=True)

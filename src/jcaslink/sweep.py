@@ -92,26 +92,42 @@ class ResultTable:
     metadata: dict
 
 
+# The pinned constants, in the order the CSV metadata lists them.
+_CONSTANTS = {
+    "speed_of_light": constants.SPEED_OF_LIGHT,
+    "boltzmann": constants.BOLTZMANN,
+    "mu_earth": constants.MU_EARTH,
+    "earth_radius_km": constants.EARTH_RADIUS_KM,
+}
+_CONSTANTS_METADATA = ";".join(f"{k}={v!r}" for k, v in _CONSTANTS.items())
+
+_FINGERPRINT_FIELDS = tuple(sorted(f.name for f in fields(Scenario)))
+_fingerprint_values = attrgetter(*_FINGERPRINT_FIELDS)
+# The fingerprint's JSON with a bare %s for each field value, in the order
+# of _FINGERPRINT_FIELDS.
+_FINGERPRINT_JSON = json.dumps(
+    {**dict.fromkeys(_FINGERPRINT_FIELDS, "%s"), "_constants": _CONSTANTS}, sort_keys=True
+).replace('"%s"', "%s")
+
+
+def _json_token(value) -> str:
+    """The JSON text json.dumps writes for one scenario field value."""
+    if isinstance(value, float):
+        return float.__repr__(value)  # finite in a Scenario
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value.value if isinstance(value, Enum) else value)
+
+
 def scenario_fingerprint(s: Scenario) -> str:
-    """Deterministic digest over every scenario field and pinned constant."""
-    # fields() rather than asdict(): asdict deep-copies every value, which
-    # costs about a tenth of a small sweep on Python 3.11.
-    payload = {}
-    for f in fields(s):
-        value = getattr(s, f.name)
-        payload[f.name] = value.value if isinstance(value, Enum) else value
-    payload["_constants"] = _pinned_constants()
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _pinned_constants() -> dict:
-    return {
-        "speed_of_light": constants.SPEED_OF_LIGHT,
-        "boltzmann": constants.BOLTZMANN,
-        "mu_earth": constants.MU_EARTH,
-        "earth_radius_km": constants.EARTH_RADIUS_KM,
-    }
+    """First 16 hex digits of the SHA-256 of the sorted-key JSON of every
+    scenario field plus the pinned constants."""
+    blob = _FINGERPRINT_JSON % tuple(map(_json_token, _fingerprint_values(s)))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def radar_snrs(mode: Mode):
@@ -179,7 +195,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     metadata = {
         "tool": f"jcaslink {__version__}",
         "fingerprint": scenario_fingerprint(spec.base),
-        "constants": ";".join(f"{k}={v!r}" for k, v in _pinned_constants().items()),
+        "constants": _CONSTANTS_METADATA,
         "mode": spec.mode.value,
     }
     return ResultTable(rows=tuple(rows), metadata=metadata)
@@ -199,6 +215,10 @@ def format_value(value) -> str:
     return "none" if value is None else str(value)
 
 
+# One CSV row: the two axis cells, seven float cells, then "feasible,mode".
+_ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
+
+
 def emit_csv(table: ResultTable, destination: str | Path) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     row, floats at 9 significant digits. Re-emission is byte-identical.
@@ -207,7 +227,6 @@ def emit_csv(table: ResultTable, destination: str | Path) -> None:
     goes through format_value once; SweepSpec keeps them distinct."""
     mode = Mode(table.metadata["mode"])
     snrs = radar_snrs(mode)
-    row_format = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
     elements = {n: format_value(n) for n in {row.n_elements for row in table.rows}}
     powers = {p: format_value(p) for p in {row.tx_power_dbw for row in table.rows}}
     tails = {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)}
@@ -216,12 +235,13 @@ def emit_csv(table: ResultTable, destination: str | Path) -> None:
     for row in table.rows:
         link, perf = row.link, row.perf
         single, integrated = snrs(link)
-        lines.append(row_format % (
+        lines.append(_ROW_FORMAT % (
             elements[row.n_elements], powers[row.tx_power_dbw], link.comm_snr_db,
             perf.shannon_rate_bps, perf.qpsk_capped_rate_bps, single, integrated,
             perf.range_mse_m2, perf.range_rmse_m, tails[perf.detection_feasible],
         ))
     try:
-        Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(destination, "w", encoding="utf-8") as out:
+            out.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {destination}: {exc}") from exc

@@ -109,13 +109,35 @@ def test_scenario_errors_name_the_first_grid_point(base, powers, elements, fault
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 COUNTS = st.integers(1, 4096) | st.integers(1, 10**400)
+# The decades where one budget term leaves the float range: physical
+# magnitudes of 1e150-1e308 and 1e-308-1e-150 (their squares and products
+# overflow or underflow), and dB values of +-3000-4000, where 10^(x/10)
+# passes 1.8e308 or underflows to a subnormal or to 0.
+EDGE_MAGNITUDES = st.floats(150.0, 308.0).map(lambda e: 10.0**e) | st.floats(-308.0, -150.0).map(lambda e: 10.0**e)
+EDGE_DB = st.floats(3000.0, 4000.0) | st.floats(-4000.0, -3000.0)
+MAGNITUDE_FIELDS = (
+    "carrier_hz", "bandwidth_hz", "d_sat_user_km", "d_sat_target_km", "d_target_rx_km", "rcs_m2",
+    "t_integration_s", "noise_temp_k",
+)
+DB_FIELDS = (
+    "tx_power_dbw", "tx_gain_ref_dbi", "rx_gain_dbi", "detection_threshold_db", "rx_gain_comm_dbi",
+    "rx_gain_sense_dbi",
+)
 
 
 @st.composite
 def config_values(draw):
     """Scenario field values a config file can set, mostly inside the range
-    checks: finite floats from subnormal to the largest double and counts
-    of up to 400 digits."""
+    checks. Half the draws set every field: finite floats from subnormal to
+    the largest double and counts of up to 400 digits. Independent draws
+    over the whole range seldom put one budget term past an edge while the
+    rest stay in range, so the other half keep the reference scenario and
+    put one magnitude and one dB value in the edge decades."""
+    if draw(st.booleans()):
+        return {
+            draw(st.sampled_from(MAGNITUDE_FIELDS)): draw(EDGE_MAGNITUDES),
+            draw(st.sampled_from(DB_FIELDS)): draw(EDGE_DB),
+        }
     n_subcarriers = draw(COUNTS)
     n_sense = draw(st.integers(0, n_subcarriers))
     return dict(

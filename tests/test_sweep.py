@@ -1,18 +1,21 @@
 """Grid evaluation, table assembly, fingerprinting and CSV emission."""
 
 import csv
+import hashlib
+import json
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcaslink import linkbudget, performance, waveform
+from jcaslink import constants, linkbudget, performance, waveform
 from jcaslink.errors import DomainError
-from jcaslink.linkbudget import Scenario
+from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.sweep import (
     CSV_COLUMNS,
     Mode,
@@ -24,6 +27,7 @@ from jcaslink.sweep import (
     scenario_fingerprint,
 )
 from jcaslink.waveform import TonePlacement
+from test_single_path import config_values
 
 
 @pytest.fixture
@@ -115,6 +119,27 @@ class TestRunSweep:
         with pytest.raises(DomainError, match=r"n_elements=2, tx_power_dbw=1"):
             run_sweep(spec)
 
+    # A point error inside a row names that point, not the row's first one:
+    # 2915 dBW overflows the delay bound only at 4 elements and -3076 dBW
+    # the range error only at 1; an array-gain error names the row's count.
+    @pytest.mark.parametrize(
+        "powers, elements, point",
+        [
+            ((1.0, -4000.0), (1,), (1, -4000.0)),
+            ((1.0, 2.0, -4000.0, 3.0), (1, 4), (1, -4000.0)),
+            ((1.0, 2915.0), (1, 4), (4, 2915.0)),
+            ((1.0, -3076.0), (4, 1), (1, -3076.0)),
+            ((1.0, 2.0), (1, 10**400), (10**400, 1.0)),
+        ],
+    )
+    def test_point_errors_name_their_own_point(self, powers, elements, point):
+        n, p = point
+        with pytest.raises(DomainError) as point_error:
+            run_point(Scenario(n_elements=n, tx_power_dbw=p))
+        with pytest.raises(DomainError) as sweep_error:
+            run_sweep(SweepSpec(power_axis_dbw=powers, element_axis=elements))
+        assert str(sweep_error.value) == f"grid point (n_elements={n}, tx_power_dbw={p}): {point_error.value}"
+
     def test_empty_axis_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(power_axis_dbw=())
@@ -175,6 +200,46 @@ class TestFingerprint:
     )
     def test_any_field_change_alters_fingerprint(self, change):
         assert scenario_fingerprint(Scenario(**change)) != scenario_fingerprint(Scenario())
+
+    # Field values whose JSON text is easy to get wrong: signed zero,
+    # subnormals, None per-leg gains, both booleans, every enum member,
+    # 400-digit counts, and what an API caller may pass: ints in float
+    # fields and a str in an enum field.
+    @settings(max_examples=25, deadline=None)
+    @given(values=config_values())
+    @example(values={})
+    @pytest.mark.parametrize(
+        "picked",
+        [
+            {},
+            {"tx_power_dbw": -0.0, "detection_threshold_db": 0.0},
+            {"tx_gain_ref_dbi": 5e-324, "carrier_hz": 2.225e-309, "noise_temp_k": 1e-310},
+            {"rx_gain_comm_dbi": None, "rx_gain_sense_dbi": -0.0},
+            {"rx_gain_comm_dbi": -1e-320, "rx_gain_sense_dbi": None},
+            {"doppler_precompensated": True},
+            {"doppler_precompensated": False},
+            *({"tone_placement": member} for member in TonePlacement),
+            *({"array_gain_model": member} for member in ArrayGainModel),
+            {"n_subcarriers": 10**400, "n_elements": 10**399 + 1, "n_elements_ref": 10**400 - 1},
+            {"tx_power_dbw": 7, "d_target_rx_km": 10**300},
+            {"tone_placement": "block_edge"},
+        ],
+    )
+    def test_equals_sha256_of_sorted_key_json(self, values, picked):
+        try:
+            s = Scenario(**{**values, **picked})
+        except DomainError:
+            return
+        payload = {f.name: getattr(s, f.name) for f in fields(s)}
+        payload = {name: v.value if isinstance(v, Enum) else v for name, v in payload.items()}
+        payload["_constants"] = {
+            "speed_of_light": constants.SPEED_OF_LIGHT,
+            "boltzmann": constants.BOLTZMANN,
+            "mu_earth": constants.MU_EARTH,
+            "earth_radius_km": constants.EARTH_RADIUS_KM,
+        }
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        assert scenario_fingerprint(s) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 class TestEmitCsv:
