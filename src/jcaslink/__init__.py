@@ -8,22 +8,17 @@ of satellite communication and spaceborne-radar frequency allocations.
 
 from ._version import __version__
 from .errors import ConfigError, DomainError, PartitionOverflowError
-from .geometry import doppler_shift, implied_altitude, orbital_speed, slant_range
+from .geometry import doppler_shift, implied_altitude, orbital_speed
 from .linkbudget import (
     ArrayGainModel,
     LinkResult,
     Scenario,
     array_gain_db,
-    bistatic_radar_snr_db,
-    comm_snr_db,
     fspl_db,
-    monostatic_radar_snr_db,
     noise_power_dbw,
 )
 from .performance import (
     PerformanceResult,
-    achievable_rate,
-    delay_crlb,
     detection_feasible,
     range_mse,
 )
@@ -67,12 +62,8 @@ __all__ = [
     "SubcarrierPlan",
     "SweepSpec",
     "TonePlacement",
-    "achievable_rate",
     "array_gain_db",
-    "bistatic_radar_snr_db",
     "check_jcas_pairing",
-    "comm_snr_db",
-    "delay_crlb",
     "detection_feasible",
     "doppler_shift",
     "emit_csv",
@@ -81,7 +72,6 @@ __all__ = [
     "load_registry",
     "lookup_comm_band",
     "lookup_radar_allocations",
-    "monostatic_radar_snr_db",
     "noise_power_dbw",
     "numerology",
     "orbital_speed",
@@ -90,6 +80,5 @@ __all__ = [
     "run_point",
     "run_sweep",
     "sensing_rms_bandwidth",
-    "slant_range",
     "symbols_in",
 ]

@@ -1,5 +1,5 @@
-"""Spherical-Earth orbital geometry: slant ranges, circular-orbit speed and
-Doppler shift.
+"""Spherical-Earth orbital geometry: the altitude a slant range implies,
+circular-orbit speed and Doppler shift.
 
 All public functions take angles in degrees and distances in km unless the
 name says otherwise. Everything is a pure function of its inputs.
@@ -13,30 +13,11 @@ from .errors import DomainError
 _EARTH_RADIUS_SQ = EARTH_RADIUS_KM * EARTH_RADIUS_KM
 
 
-def slant_range(altitude_km: float, elevation_deg: float) -> float:
-    """Line-of-sight distance (km) to a satellite at the given altitude.
-
-    Law-of-cosines inversion on the spherical Earth:
-
-        d = -Re sin(e) + sqrt((Re sin(e))^2 + h^2 + 2 Re h)
-
-    At e = 90 deg this reduces to the altitude itself.
-    """
-    if altitude_km <= 0:
-        raise DomainError("altitude_km must be > 0")
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise DomainError("elevation_deg must be within [0, 90] degrees")
-    re_sin = EARTH_RADIUS_KM * math.sin(math.radians(elevation_deg))
-    return -re_sin + math.sqrt(
-        re_sin * re_sin + altitude_km * altitude_km + 2.0 * EARTH_RADIUS_KM * altitude_km
-    )
-
-
 def implied_altitude(slant_range_km: float, elevation_deg: float) -> float:
     """Altitude (km) whose slant range at the given elevation equals the input.
 
-    Closed-form inverse of :func:`slant_range`; used as a per-link diagnostic
-    when a scenario states distances rather than an orbit.
+    Closed-form inverse of the spherical-Earth slant-range law; used as a
+    per-link diagnostic when a scenario states distances rather than an orbit.
     """
     if slant_range_km <= 0:
         raise DomainError("slant_range_km must be > 0")

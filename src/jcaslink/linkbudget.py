@@ -6,8 +6,6 @@ radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
 per scenario every term that depends neither on transmit power nor on
 element count and returns the element stage, which adds the array gain once
 per element count: n_elements -> (tx_power_dbw -> LinkResult).
-``comm_snr_db``, ``bistatic_radar_snr_db`` and ``monostatic_radar_snr_db``
-read that LinkResult at the scenario's own power and element count.
 
 Everything works in dB on top of SI quantities. Transmit power is spread
 uniformly over all subcarriers, so the sensing leg carries the sensing
@@ -25,7 +23,7 @@ from operator import attrgetter
 from . import geometry, performance
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import DomainError
-from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, numerology, partition, symbols_in
+from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
 
 _FOUR_PI = 4.0 * math.pi
 _FOUR_PI_DB = 30.0 * math.log10(_FOUR_PI)
@@ -79,6 +77,9 @@ class Scenario:
     rx_gain_sense_dbi: float | None = None
 
     def __post_init__(self):
+        for name, kind, value in zip(_SCENARIO_FIELDS, _SCENARIO_KINDS, _scenario_values(self)):
+            if type(value) is not kind:
+                object.__setattr__(self, name, typed_value(name, kind, value))
         positive = (
             "carrier_hz",
             "bandwidth_hz",
@@ -121,7 +122,24 @@ class Scenario:
 
 
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # in declaration order
+_SCENARIO_KINDS = tuple(f.type for f in fields(Scenario))
 _scenario_values = attrgetter(*_SCENARIO_FIELDS)
+
+
+def typed_value(name: str, kind, value):
+    """``value`` as a field annotated ``kind`` holds it, or a DomainError naming
+    the field. A float field also takes an int that is not a bool, as a float."""
+    if type(value) is kind or (value is None and isinstance(None, kind)):
+        return value
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        if issubclass(float, kind):
+            try:
+                return float(value)
+            except OverflowError:
+                raise DomainError(f"{name} must be within the floating-point range") from None
+        if kind is int and isinstance(value, int):
+            return int(value)
+    raise DomainError(f"{name} must be of type {getattr(kind, '__name__', kind)}, not {type(value).__name__}")
 
 
 @dataclass(slots=True)
@@ -185,10 +203,6 @@ def array_gain_db(
         return ref_gain_dbi + per_ten * math.log10(n_elements / n_elements_ref)
     except (OverflowError, ValueError):  # the ratio is past the float range or rounds to 0
         raise DomainError("n_elements / n_elements_ref is outside the floating-point range") from None
-
-
-def tx_array_gain_db(s: Scenario) -> float:
-    return array_gain_db(s.tx_gain_ref_dbi, s.n_elements, s.n_elements_ref, s.array_gain_model)
 
 
 def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
@@ -286,34 +300,3 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
 
     return at_elements
 
-
-def comm_snr_db(s: Scenario) -> float:
-    """Downlink SNR, P + G_tx + G_rx - FSPL - N, ICI-degraded when Doppler is
-    not precompensated.
-
-    Uses the full-band expression; the data-subcarrier power fraction
-    against data-band noise cancels identically, so no partition term
-    appears. The whole link stage is evaluated, so a scenario without a
-    sensing tone or an integrated symbol is a DomainError here too.
-    """
-    num = numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
-    plan = partition(s.n_subcarriers, s.n_data, s.n_sense)
-    return link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw).comm_snr_db
-
-
-def bistatic_radar_snr_db(
-    s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
-) -> tuple[float, float]:
-    """(single-symbol, coherently integrated) SNR of the bistatic echo."""
-    link = link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw)
-    return link.radar_snr_single_db, link.radar_snr_integrated_db
-
-
-def monostatic_radar_snr_db(
-    s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology
-) -> tuple[float, float]:
-    """Bistatic budget degenerated to the satellite hearing its own echo:
-    both legs are the satellite-target range and the receive gain is the
-    transmit array gain."""
-    link = link_stage(s, plan, num)(s.n_elements)(s.tx_power_dbw)
-    return link.mono_snr_single_db, link.mono_snr_integrated_db

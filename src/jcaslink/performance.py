@@ -57,11 +57,6 @@ def rate_stage(plan: SubcarrierPlan, num: OfdmNumerology):
     return rate
 
 
-def achievable_rate(snr_db: float, plan: SubcarrierPlan, num: OfdmNumerology) -> tuple[float, float]:
-    """(Shannon, QPSK-capped) rate in bit/s: the 1 x 1 case of rate_stage."""
-    return rate_stage(plan, num)(snr_db)
-
-
 def delay_stage(rms_bandwidth_hz: float):
     """Scenario stage of the delay bound: 8 pi^2 Brms^2, once; returns post_snr_db
     -> minimum delay-estimation variance (s^2), 1 / (8 pi^2 Brms^2 snr)."""
@@ -82,11 +77,6 @@ def delay_stage(rms_bandwidth_hz: float):
         return 1.0 / information
 
     return variance
-
-
-def delay_crlb(post_snr_db: float, rms_bandwidth_hz: float) -> float:
-    """Minimum delay-estimation variance (s^2): the 1 x 1 case of delay_stage."""
-    return delay_stage(rms_bandwidth_hz)(post_snr_db)
 
 
 def range_mse(delay_variance_s2: float) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import constants, linkbudget, performance, waveform
 from ._version import __version__
 from .errors import DomainError
-from .linkbudget import LinkResult, Scenario
+from .linkbudget import LinkResult, Scenario, typed_value
 from .performance import PerformanceResult
 
 CSV_COLUMNS = (
@@ -62,10 +62,13 @@ class SweepSpec:
     mode: Mode = Mode.ALL
 
     def __post_init__(self):
-        if not self.power_axis_dbw:
-            raise DomainError("power_axis_dbw must be non-empty")
-        if not self.element_axis:
-            raise DomainError("element_axis must be non-empty")
+        for name, kind in (("power_axis_dbw", float), ("element_axis", int)):
+            axis = tuple(typed_value(f"{name} values", kind, v) for v in getattr(self, name))
+            if not axis:
+                raise DomainError(f"{name} must be non-empty")
+            object.__setattr__(self, name, axis)
+        for name, kind in (("base", Scenario), ("mode", Mode)):
+            typed_value(name, kind, getattr(self, name))
         for p in self.power_axis_dbw:
             if not isfinite(p):
                 raise DomainError("power_axis_dbw values must be finite")
@@ -120,7 +123,7 @@ def _json_token(value) -> str:
         return int.__repr__(value)
     if value is None:
         return "null"
-    return json.dumps(value.value if isinstance(value, Enum) else value)
+    return json.dumps(value.value)  # Scenario holds only these types and enum members
 
 
 def scenario_fingerprint(s: Scenario) -> str:
@@ -222,9 +225,8 @@ _ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
 def emit_csv(table: ResultTable, destination: str | Path) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     row, floats at 9 significant digits. Re-emission is byte-identical.
-    Each row is one %-format whose seven float cells take FLOAT_SPEC. An
-    API-built spec may hold int axis values, so each distinct axis value
-    goes through format_value once; SweepSpec keeps them distinct."""
+    Each row is one %-format whose seven float cells take FLOAT_SPEC; each
+    distinct axis value goes through format_value once."""
     mode = Mode(table.metadata["mode"])
     snrs = radar_snrs(mode)
     elements = {n: format_value(n) for n in {row.n_elements for row in table.rows}}

@@ -10,17 +10,10 @@ import time
 import pytest
 
 from jcaslink.cli import main as cli_main
-from jcaslink.linkbudget import (
-    Scenario,
-    bistatic_radar_snr_db,
-    fspl_db,
-    monostatic_radar_snr_db,
-    noise_power_dbw,
-    tx_array_gain_db,
-)
+from jcaslink.linkbudget import Scenario, array_gain_db, fspl_db, link_stage, noise_power_dbw
 from jcaslink.spectrum import comm_records, default_registry, dump_registry, load_registry, lookup_comm_band
 from jcaslink.sweep import Mode, SweepSpec, run_sweep
-from jcaslink.performance import delay_crlb
+from jcaslink.performance import delay_stage
 from jcaslink.waveform import numerology, partition, sensing_rms_bandwidth, symbols_in
 
 
@@ -104,9 +97,10 @@ def test_criterion_6_monostatic_infeasibility():
 
     from dataclasses import replace
 
-    matched = replace(base, rx_gain_sense_dbi=tx_array_gain_db(base))
-    _, bi = bistatic_radar_snr_db(matched, plan, num)
-    _, mono = monostatic_radar_snr_db(matched, plan, num)
+    g_tx = array_gain_db(base.tx_gain_ref_dbi, base.n_elements, base.n_elements_ref, base.array_gain_model)
+    matched = replace(base, rx_gain_sense_dbi=g_tx)
+    link = link_stage(matched, plan, num)(matched.n_elements)(matched.tx_power_dbw)
+    bi, mono = link.radar_snr_integrated_db, link.mono_snr_integrated_db
     assert bi - mono == pytest.approx(33.81, abs=0.01)
 
     mono_table = run_sweep(SweepSpec(mode=Mode.RADAR_MONOSTATIC))
@@ -139,11 +133,11 @@ def test_criterion_7_spectrum_exactness(tmp_path):
 @criterion(8, "delay-bound scaling laws and sensing-comb RMS bandwidth against brute force")
 def test_criterion_8_delay_bound_properties():
     for snr in (-10.0, 0.0, 12.5, 30.0):
-        assert delay_crlb(snr + 10.0, 28.87e6) == pytest.approx(
-            delay_crlb(snr, 28.87e6) / 10.0, rel=1e-9
+        assert delay_stage(28.87e6)(snr + 10.0) == pytest.approx(
+            delay_stage(28.87e6)(snr) / 10.0, rel=1e-9
         )
     for bw in (1e6, 28.87e6, 1e8):
-        assert delay_crlb(0.0, 2.0 * bw) == pytest.approx(delay_crlb(0.0, bw) / 4.0, rel=1e-9)
+        assert delay_stage(2.0 * bw)(0.0) == pytest.approx(delay_stage(bw)(0.0) / 4.0, rel=1e-9)
 
     plan = partition(1024, 800, 224)
     num = numerology(1e8, 1024, 72)

@@ -10,16 +10,18 @@ from jcaslink.linkbudget import (
     ArrayGainModel,
     Scenario,
     array_gain_db,
-    bistatic_radar_snr_db,
-    comm_snr_db,
     fspl_db,
-    monostatic_radar_snr_db,
+    link_stage,
     noise_power_dbw,
-    tx_array_gain_db,
+    radar_terms,
 )
+from jcaslink.sweep import Mode, radar_snrs, run_point
 from jcaslink.waveform import numerology, partition
 
 DB_TOL = 1e-9
+# LinkResult -> (single-symbol, integrated) SNR of each sensing leg
+BISTATIC = radar_snrs(Mode.RADAR_BISTATIC)
+MONOSTATIC = radar_snrs(Mode.RADAR_MONOSTATIC)
 
 
 @pytest.fixture
@@ -55,9 +57,14 @@ class TestFspl:
         assert fspl_db(4.2e9, 5.0e5) < fspl_db(8.4e9, 5.0e5)
         assert fspl_db(4.2e9, 5.0e5) < fspl_db(4.2e9, 6.0e5)
 
-    @pytest.mark.parametrize("freq,dist", [(0.0, 1.0), (1e9, 0.0), (-1e9, 1.0), (1e9, -1.0)])
-    def test_domain_errors(self, freq, dist):
-        with pytest.raises(DomainError):
+    # Each check at its boundary, on its own message: with "<=" read as "<",
+    # a zero argument would still raise, but through the underflow check.
+    @pytest.mark.parametrize(
+        "freq,dist,message",
+        [(0.0, 1.0, "freq_hz"), (1e9, 0.0, "distance_m"), (-1e9, 1.0, "freq_hz"), (1e9, -1.0, "distance_m")],
+    )
+    def test_domain_errors(self, freq, dist, message):
+        with pytest.raises(DomainError, match=f"^{message} must be > 0$"):
             fspl_db(freq, dist)
 
 
@@ -74,9 +81,11 @@ class TestNoisePower:
         delta = noise_power_dbw(300.0, 1e9) - noise_power_dbw(300.0, 1e8)
         assert delta == pytest.approx(10.0, abs=DB_TOL)
 
-    @pytest.mark.parametrize("temp,bw", [(0.0, 1e8), (300.0, 0.0), (-10.0, 1e8)])
-    def test_domain_errors(self, temp, bw):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize(
+        "temp,bw,message", [(0.0, 1e8, "temp_k"), (300.0, 0.0, "bandwidth_hz"), (-10.0, 1e8, "temp_k")]
+    )
+    def test_domain_errors(self, temp, bw, message):
+        with pytest.raises(DomainError, match=f"^{message} must be > 0$"):
             noise_power_dbw(temp, bw)
 
 
@@ -100,6 +109,16 @@ class TestArrayGain:
     def test_zero_counts_rejected(self):
         with pytest.raises(DomainError):
             array_gain_db(22.81, 0, 1)
+
+
+class TestRadarTerms:
+    def test_needs_one_sensing_tone(self, ref):
+        with pytest.raises(DomainError, match="^radar budget needs n_sense >= 1$"):
+            radar_terms(ref, partition(1024, 800, 0))
+
+    def test_one_sensing_tone_suffices(self, ref):
+        terms = radar_terms(ref, partition(1024, 800, 1))
+        assert terms.sense_fraction_db == pytest.approx(10.0 * math.log10(1 / 1024), abs=DB_TOL)
 
 
 class TestScenarioValidation:
@@ -126,6 +145,31 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match=field):
             Scenario(**{field: value})
 
+    # Values a config file cannot give but an API caller can: each is a
+    # DomainError that names the field, not a traceback or another scenario.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_sense", 224.0),
+            ("carrier_hz", "4.2e9"),
+            ("tone_placement", "comb_uniform"),
+            ("tone_placement", "block_edge"),
+            ("array_gain_model", "per_element_power"),
+            ("doppler_precompensated", 0),
+            ("n_elements", True),
+            ("carrier_hz", 10**400),
+            ("rx_gain_comm_dbi", "30"),
+        ],
+    )
+    def test_wrong_type_named_in_error(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be "):
+            Scenario(**{field: value})
+
+    def test_int_in_float_field_is_stored_as_float(self):
+        s = Scenario(tx_power_dbw=7, rx_gain_comm_dbi=-3)
+        assert (type(s.tx_power_dbw), s.tx_power_dbw) == (float, 7.0)
+        assert (type(s.rx_gain_comm_dbi), s.rx_gain_comm_dbi) == (float, -3.0)
+
     def test_partition_limit(self):
         with pytest.raises(DomainError):
             Scenario(n_data=900, n_sense=300)
@@ -140,61 +184,62 @@ class TestScenarioValidation:
 class TestCommSnr:
     def test_reference_budget_at_9dbw(self, ref):
         # hand budget: 9 + 22.81 + 32.85 - 158.89 + 123.83
-        assert comm_snr_db(ref) == pytest.approx(29.59578550945929, abs=0.05)
+        assert run_point(ref)[0].comm_snr_db == pytest.approx(29.59578550945929, abs=0.05)
 
     def test_power_linearity(self, ref):
-        low = comm_snr_db(replace(ref, tx_power_dbw=1.0))
-        assert comm_snr_db(ref) - low == pytest.approx(8.0, abs=DB_TOL)
+        low = run_point(replace(ref, tx_power_dbw=1.0))[0].comm_snr_db
+        assert run_point(ref)[0].comm_snr_db - low == pytest.approx(8.0, abs=DB_TOL)
 
     def test_element_scaling(self, ref):
-        delta = comm_snr_db(replace(ref, n_elements=4)) - comm_snr_db(ref)
+        delta = run_point(replace(ref, n_elements=4))[0].comm_snr_db - run_point(ref)[0].comm_snr_db
         assert delta == pytest.approx(10.0 * math.log10(4.0), abs=DB_TOL)
 
     def test_strictly_increasing_in_elements(self, ref):
-        values = [comm_snr_db(replace(ref, n_elements=n)) for n in (1, 2, 4, 8, 16)]
+        values = [run_point(replace(ref, n_elements=n))[0].comm_snr_db for n in (1, 2, 4, 8, 16)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_strictly_decreasing_in_distance(self, ref):
-        values = [comm_snr_db(replace(ref, d_sat_user_km=d)) for d in (100.0, 300.0, 500.0, 900.0)]
+        values = [run_point(replace(ref, d_sat_user_km=d))[0].comm_snr_db for d in (100.0, 300.0, 500.0, 900.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestBistaticRadarSnr:
     def test_reference_budget_at_9dbw(self, ref, ref_plan, ref_num):
-        single, integrated = bistatic_radar_snr_db(ref, ref_plan, ref_num)
+        single, integrated = BISTATIC(link_stage(ref, ref_plan, ref_num)(1)(9.0))
         assert single == pytest.approx(-41.22083464461156, abs=0.1)
         assert integrated == pytest.approx(3.1522306686311765, abs=0.1)
         # coherent gain over 27372 symbols
         assert integrated - single == pytest.approx(44.37306531324273, abs=DB_TOL)
 
     def test_rcs_quadrupling_adds_six_db(self, ref, ref_plan, ref_num):
-        _, base = bistatic_radar_snr_db(ref, ref_plan, ref_num)
-        _, big = bistatic_radar_snr_db(replace(ref, rcs_m2=400.0), ref_plan, ref_num)
+        _, base = BISTATIC(link_stage(ref, ref_plan, ref_num)(1)(9.0))
+        _, big = BISTATIC(link_stage(replace(ref, rcs_m2=400.0), ref_plan, ref_num)(1)(9.0))
         assert big - base == pytest.approx(6.0205999132796239, abs=DB_TOL)
 
     def test_zero_integration_window_rejected(self, ref, ref_plan, ref_num):
         with pytest.raises(DomainError, match="zero symbols"):
-            bistatic_radar_snr_db(replace(ref, t_integration_s=0.0), ref_plan, ref_num)
+            link_stage(replace(ref, t_integration_s=0.0), ref_plan, ref_num)(1)(9.0)
 
     def test_db_additivity_in_power(self, ref, ref_plan, ref_num):
         # every SNR output shifts by exactly the transmit-power shift
+        at_power = link_stage(ref, ref_plan, ref_num)(ref.n_elements)
         for delta in (0.5, 3.0, 7.0):
-            s2 = replace(ref, tx_power_dbw=ref.tx_power_dbw + delta)
-            assert comm_snr_db(s2) - comm_snr_db(ref) == pytest.approx(delta, abs=DB_TOL)
-            for op in (bistatic_radar_snr_db, monostatic_radar_snr_db):
-                a = op(ref, ref_plan, ref_num)
-                b = op(s2, ref_plan, ref_num)
+            link, link2 = at_power(ref.tx_power_dbw), at_power(ref.tx_power_dbw + delta)
+            assert link2.comm_snr_db - link.comm_snr_db == pytest.approx(delta, abs=DB_TOL)
+            for op in (BISTATIC, MONOSTATIC):
+                a = op(link)
+                b = op(link2)
                 assert b[0] - a[0] == pytest.approx(delta, abs=DB_TOL)
                 assert b[1] - a[1] == pytest.approx(delta, abs=DB_TOL)
 
     def test_strictly_decreasing_in_each_leg(self, ref, ref_plan, ref_num):
         by_target = [
-            bistatic_radar_snr_db(replace(ref, d_sat_target_km=d), ref_plan, ref_num)[1]
+            link_stage(replace(ref, d_sat_target_km=d), ref_plan, ref_num)(1)(9.0).radar_snr_integrated_db
             for d in (100.0, 300.0, 490.0, 800.0)
         ]
         assert all(a > b for a, b in zip(by_target, by_target[1:]))
         by_rx = [
-            bistatic_radar_snr_db(replace(ref, d_target_rx_km=d), ref_plan, ref_num)[1]
+            link_stage(replace(ref, d_target_rx_km=d), ref_plan, ref_num)(1)(9.0).radar_snr_integrated_db
             for d in (1.0, 10.0, 50.0, 200.0)
         ]
         assert all(a > b for a, b in zip(by_rx, by_rx[1:]))
@@ -202,32 +247,31 @@ class TestBistaticRadarSnr:
 
 class TestMonostaticRadarSnr:
     def test_reference_budget_infeasible_region(self, ref, ref_plan, ref_num):
-        single, integrated = monostatic_radar_snr_db(ref, ref_plan, ref_num)
+        single, integrated = MONOSTATIC(link_stage(ref, ref_plan, ref_num)(1)(9.0))
         assert single == pytest.approx(-85.06475624518185, abs=0.1)
         assert integrated == pytest.approx(-40.69169093193912, abs=0.1)
 
     def test_matched_gain_geometry_penalty(self, ref, ref_plan, ref_num):
         # receive gain pinned to the transmit array gain so only the
         # R1^2 R2^2 vs R^4 spreading terms differ
-        matched = replace(ref, rx_gain_sense_dbi=tx_array_gain_db(ref))
-        _, bi = bistatic_radar_snr_db(matched, ref_plan, ref_num)
-        _, mono = monostatic_radar_snr_db(matched, ref_plan, ref_num)
+        g_tx = array_gain_db(ref.tx_gain_ref_dbi, ref.n_elements, ref.n_elements_ref, ref.array_gain_model)
+        matched = replace(ref, rx_gain_sense_dbi=g_tx)
+        link = link_stage(matched, ref_plan, ref_num)(1)(9.0)
+        _, bi = BISTATIC(link)
+        _, mono = MONOSTATIC(link)
         assert bi - mono == pytest.approx(33.80392160057028, abs=0.01)
 
     def test_degenerate_geometry_matches_bistatic(self, ref, ref_plan, ref_num):
-        matched = replace(
-            ref,
-            d_target_rx_km=ref.d_sat_target_km,
-            rx_gain_sense_dbi=tx_array_gain_db(ref),
-        )
-        bi = bistatic_radar_snr_db(matched, ref_plan, ref_num)
-        mono = monostatic_radar_snr_db(matched, ref_plan, ref_num)
+        g_tx = array_gain_db(ref.tx_gain_ref_dbi, ref.n_elements, ref.n_elements_ref, ref.array_gain_model)
+        matched = replace(ref, d_target_rx_km=ref.d_sat_target_km, rx_gain_sense_dbi=g_tx)
+        link = link_stage(matched, ref_plan, ref_num)(1)(9.0)
+        bi = BISTATIC(link)
+        mono = MONOSTATIC(link)
         assert bi[0] == pytest.approx(mono[0], abs=1e-9)
         assert bi[1] == pytest.approx(mono[1], abs=1e-9)
 
     def test_infeasible_at_every_swept_power(self, ref, ref_plan, ref_num):
+        at_power = link_stage(ref, ref_plan, ref_num)(ref.n_elements)
         for power in range(1, 10):
-            _, integrated = monostatic_radar_snr_db(
-                replace(ref, tx_power_dbw=float(power)), ref_plan, ref_num
-            )
+            _, integrated = MONOSTATIC(at_power(float(power)))
             assert integrated < ref.detection_threshold_db

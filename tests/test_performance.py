@@ -6,11 +6,11 @@ import pytest
 
 from jcaslink.errors import DomainError
 from jcaslink.performance import (
-    achievable_rate,
-    delay_crlb,
+    delay_stage,
     detection_feasible,
     ici_effective_snr_db,
     range_mse,
+    rate_stage,
 )
 from jcaslink.waveform import numerology, partition
 
@@ -30,55 +30,55 @@ def ref_plan():
 class TestAchievableRate:
     def test_reference_shannon_rate(self, ref_plan, ref_num):
         # oracle: 0.78125 * (10.24/10.96) * 1e8 * log2(1 + 10^2.9596)
-        shannon, _ = achievable_rate(REF_SNR_DB, ref_plan, ref_num)
+        shannon, _ = rate_stage(ref_plan, ref_num)(REF_SNR_DB)
         assert shannon == pytest.approx(717743772.89121, rel=1e-9)
         assert shannon == pytest.approx(7.18e8, rel=0.01)
 
     def test_qpsk_cap(self, ref_plan, ref_num):
         # 800 data subcarriers * 2 bit / 10.96 us
-        _, capped = achievable_rate(60.0, ref_plan, ref_num)
+        _, capped = rate_stage(ref_plan, ref_num)(60.0)
         assert capped == pytest.approx(145985401.459854, rel=1e-9)
         assert capped == pytest.approx(1.4599e8, rel=1e-3)
 
     def test_cap_is_min_of_both(self, ref_plan, ref_num):
-        shannon, capped = achievable_rate(REF_SNR_DB, ref_plan, ref_num)
+        shannon, capped = rate_stage(ref_plan, ref_num)(REF_SNR_DB)
         assert capped == min(shannon, 145985401.459854)
 
     def test_vanishing_snr(self, ref_plan, ref_num):
-        shannon, capped = achievable_rate(-300.0, ref_plan, ref_num)
+        shannon, capped = rate_stage(ref_plan, ref_num)(-300.0)
         assert 0.0 <= shannon < 1e-12
         assert capped == shannon
 
     def test_strictly_increasing_in_snr(self, ref_plan, ref_num):
         grid = [-20.0 + i * 2.5 for i in range(25)]
-        rates = [achievable_rate(s, ref_plan, ref_num)[0] for s in grid]
+        rates = [rate_stage(ref_plan, ref_num)(s)[0] for s in grid]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_nonfinite_snr_rejected(self, ref_plan, ref_num):
         with pytest.raises(DomainError):
-            achievable_rate(math.nan, ref_plan, ref_num)
+            rate_stage(ref_plan, ref_num)(math.nan)
 
 
 class TestDelayCrlb:
     def test_reference_value(self):
         # oracle: 1 / (8 pi^2 * (28.87 MHz)^2 * 1)
-        assert delay_crlb(0.0, 28.87e6) == pytest.approx(1.5195559655333245e-17, rel=1e-9)
+        assert delay_stage(28.87e6)(0.0) == pytest.approx(1.5195559655333245e-17, rel=1e-9)
 
     def test_inverse_snr_law(self):
-        assert delay_crlb(10.0, 28.87e6) == pytest.approx(delay_crlb(0.0, 28.87e6) / 10.0, rel=1e-9)
+        assert delay_stage(28.87e6)(10.0) == pytest.approx(delay_stage(28.87e6)(0.0) / 10.0, rel=1e-9)
 
     def test_inverse_square_bandwidth_law(self):
-        assert delay_crlb(0.0, 2 * 28.87e6) == pytest.approx(delay_crlb(0.0, 28.87e6) / 4.0, rel=1e-9)
+        assert delay_stage(2 * 28.87e6)(0.0) == pytest.approx(delay_stage(28.87e6)(0.0) / 4.0, rel=1e-9)
 
     def test_rmse_halves_per_six_db(self):
         # +6.0206 dB quadruples the linear SNR, halving the RMS delay error
-        lo = math.sqrt(delay_crlb(0.0, 28.87e6))
-        hi = math.sqrt(delay_crlb(6.0205999132796239, 28.87e6))
+        lo = math.sqrt(delay_stage(28.87e6)(0.0))
+        hi = math.sqrt(delay_stage(28.87e6)(6.0205999132796239))
         assert hi == pytest.approx(lo / 2.0, rel=1e-9)
 
     def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(DomainError):
-            delay_crlb(0.0, 0.0)
+        with pytest.raises(DomainError, match="^rms_bandwidth_hz must be > 0$"):
+            delay_stage(0.0)(0.0)
 
 
 class TestRangeMse:
@@ -130,6 +130,10 @@ class TestIciPenalty:
         hi = ici_effective_snr_db(80.0, 40e3, 97656.25)
         hi2 = ici_effective_snr_db(100.0, 40e3, 97656.25)
         assert hi2 - hi < 0.1
+
+    def test_zero_spacing_rejected(self):
+        with pytest.raises(DomainError, match="^subcarrier_spacing_hz must be > 0$"):
+            ici_effective_snr_db(25.0, 10e3, 0.0)
 
     def test_null_offset_is_catastrophic(self):
         # offset of exactly one subcarrier spacing lands on the sinc null;

@@ -1,6 +1,6 @@
 """One budget path: every run_sweep row is the run_point result at that grid
-point, bit for bit, and the public scalar budgets agree with both. Any
-scenario a config file can reach evaluates or raises DomainError."""
+point, bit for bit, and the public surface offers no second entry point.
+Any scenario a config file can reach evaluates or raises DomainError."""
 
 import math
 from dataclasses import fields, replace
@@ -9,16 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jcaslink
+from jcaslink import geometry, linkbudget, performance
 from jcaslink.errors import DomainError
-from jcaslink.linkbudget import (
-    ArrayGainModel,
-    Scenario,
-    bistatic_radar_snr_db,
-    comm_snr_db,
-    monostatic_radar_snr_db,
-)
+from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.sweep import Mode, SweepSpec, run_point, run_sweep
-from jcaslink.waveform import TonePlacement, numerology, partition
+from jcaslink.waveform import TonePlacement
 
 
 @st.composite
@@ -70,23 +66,49 @@ def scenarios(draw):
 def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
     spec = SweepSpec(base=base, power_axis_dbw=tuple(powers), element_axis=tuple(elements), mode=mode)
     table = run_sweep(spec)
-    num = numerology(base.bandwidth_hz, base.n_subcarriers, base.n_cp)
-    plan = partition(base.n_subcarriers, base.n_data, base.n_sense)
     for row in table.rows:
         s = replace(base, tx_power_dbw=row.tx_power_dbw, n_elements=row.n_elements)
         assert (row.link, row.perf) == run_point(s, mode)
-        link = row.link
-        assert link.comm_snr_db == comm_snr_db(s)
-        bistatic = (link.radar_snr_single_db, link.radar_snr_integrated_db)
-        assert bistatic == bistatic_radar_snr_db(s, plan, num)
-        monostatic = (link.mono_snr_single_db, link.mono_snr_integrated_db)
-        assert monostatic == monostatic_radar_snr_db(s, plan, num)
 
 
 @pytest.mark.parametrize("fault", [{"n_sense": 0}, {"t_integration_s": 0.0}])
 def test_comm_snr_shares_the_link_stage_domain(fault):
     with pytest.raises(DomainError):
-        comm_snr_db(Scenario(**fault))
+        run_point(Scenario(**fault))
+
+
+# A change to the public surface is a reviewed edit of this list.
+PUBLIC_NAMES = [
+    "ArrayGainModel", "BandRecord", "ConfigError", "DomainError", "LinkResult", "Mode", "OfdmNumerology",
+    "PairingReport", "PairingVerdict", "PartitionOverflowError", "PerformanceResult", "ResultTable", "Scenario",
+    "ServiceKind", "SubcarrierPlan", "SweepSpec", "TonePlacement", "__version__", "array_gain_db",
+    "check_jcas_pairing", "detection_feasible", "doppler_shift", "emit_csv", "fspl_db", "implied_altitude",
+    "load_registry", "lookup_comm_band", "lookup_radar_allocations", "noise_power_dbw", "numerology",
+    "orbital_speed", "partition", "range_mse", "run_point", "run_sweep", "sensing_rms_bandwidth", "symbols_in",
+]
+
+
+def test_public_surface():
+    assert sorted(jcaslink.__all__) == PUBLIC_NAMES
+    assert all(hasattr(jcaslink, name) for name in PUBLIC_NAMES)
+
+
+# Second entry points deleted in favour of run_point and the stage functions.
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        (linkbudget, "comm_snr_db"),
+        (linkbudget, "bistatic_radar_snr_db"),
+        (linkbudget, "monostatic_radar_snr_db"),
+        (linkbudget, "tx_array_gain_db"),
+        (performance, "achievable_rate"),
+        (performance, "delay_crlb"),
+        (geometry, "slant_range"),
+    ],
+)
+def test_deleted_entry_point_is_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(jcaslink, name)
 
 
 @settings(max_examples=50, deadline=None)

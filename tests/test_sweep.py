@@ -149,6 +149,31 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="must be distinct"):
             SweepSpec(**axes)
 
+    # What an API caller may build: powers are floats and counts ints that
+    # are not bools, by the rule of the Scenario fields, the base a Scenario
+    # and the mode a Mode; anything else is a DomainError that names the
+    # field, not a "true" cell or a traceback.
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            ("element_axis", (True, 2)),
+            ("element_axis", ("2",)),
+            ("element_axis", (2.0,)),
+            ("power_axis_dbw", ("1",)),
+            ("power_axis_dbw", (None,)),
+            ("power_axis_dbw", (10**400,)),
+            ("mode", "all"),
+            ("base", None),
+        ],
+    )
+    def test_wrong_axis_type_named_in_error(self, field, values):
+        with pytest.raises(DomainError, match=f"^{field} (values )?must be "):
+            SweepSpec(**{field: values})
+
+    def test_int_powers_are_stored_as_floats(self):
+        spec = SweepSpec(power_axis_dbw=(3, -7, 0.5))
+        assert [(type(p), p) for p in spec.power_axis_dbw] == [(float, 3.0), (float, -7.0), (float, 0.5)]
+
     def test_monostatic_mode_never_feasible(self):
         table = run_sweep(SweepSpec(mode=Mode.RADAR_MONOSTATIC))
         assert all(r.perf.detection_feasible is False for r in table.rows)
@@ -169,7 +194,7 @@ class TestRunSweep:
         for name in ("array_gain_db", "fspl_db", "integration_gain_db", "noise_power_dbw"):
             count(linkbudget, name)
         count(waveform, "sensing_rms_bandwidth")
-        for name in ("rate_stage", "delay_stage", "achievable_rate", "delay_crlb"):  # the last two: never
+        for name in ("rate_stage", "delay_stage"):
             count(performance, name)
         spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
         assert len(run_sweep(spec).rows) == 2000
@@ -201,10 +226,12 @@ class TestFingerprint:
     def test_any_field_change_alters_fingerprint(self, change):
         assert scenario_fingerprint(Scenario(**change)) != scenario_fingerprint(Scenario())
 
+    def test_int_and_float_values_share_a_fingerprint(self):
+        assert scenario_fingerprint(Scenario(tx_power_dbw=7)) == scenario_fingerprint(Scenario(tx_power_dbw=7.0))
+
     # Field values whose JSON text is easy to get wrong: signed zero,
     # subnormals, None per-leg gains, both booleans, every enum member,
-    # 400-digit counts, and what an API caller may pass: ints in float
-    # fields and a str in an enum field.
+    # 400-digit counts, and ints in float fields, as an API caller may pass.
     @settings(max_examples=25, deadline=None)
     @given(values=config_values())
     @example(values={})
@@ -222,7 +249,6 @@ class TestFingerprint:
             *({"array_gain_model": member} for member in ArrayGainModel),
             {"n_subcarriers": 10**400, "n_elements": 10**399 + 1, "n_elements_ref": 10**400 - 1},
             {"tx_power_dbw": 7, "d_target_rx_km": 10**300},
-            {"tone_placement": "block_edge"},
         ],
     )
     def test_equals_sha256_of_sorted_key_json(self, values, picked):
@@ -289,9 +315,9 @@ class TestEmitCsv:
             )
             assert parsed["detection_feasible"] == "false"
 
-    # Integer axis values, as an API-built spec may hold, go through
-    # format_value like every other cell: 10**10 elements is "10000000000",
-    # not the "1e+10" a float format would give.
+    # Element counts are ints and go through format_value like every other
+    # cell: 10**10 elements is "10000000000", not the "1e+10" a float format
+    # would give. Int powers are stored as floats.
     @settings(max_examples=60, deadline=None)
     @given(
         mode=st.sampled_from(Mode),

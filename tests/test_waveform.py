@@ -71,6 +71,11 @@ class TestNumerology:
         with pytest.raises(DomainError):
             numerology(bw, n_sc, n_cp)
 
+    def test_subcarrier_count_boundary(self):
+        with pytest.raises(DomainError, match="^n_subcarriers must be >= 1$"):
+            numerology(REF_BANDWIDTH_HZ, 0, REF_N_CP)
+        assert numerology(REF_BANDWIDTH_HZ, 1, 0).subcarrier_spacing_hz == REF_BANDWIDTH_HZ
+
 
 class TestPartition:
     def test_reference_split(self, ref_plan):
@@ -86,6 +91,16 @@ class TestPartition:
     def test_overflow(self):
         with pytest.raises(PartitionOverflowError):
             partition(1024, 800, 300)
+
+    def test_overflow_message_states_the_sum(self):
+        with pytest.raises(PartitionOverflowError) as error:
+            partition(1024, 800, 225)
+        assert str(error.value) == "n_data + n_sense = 1025 exceeds n_total = 1024"
+
+    def test_total_count_boundary(self):
+        with pytest.raises(DomainError, match="^n_total must be >= 1$"):
+            partition(0, 0, 0)
+        assert partition(1, 0, 1).sense_fraction == 1.0
 
     @pytest.mark.parametrize("n_total,n_data,n_sense", [(1024, 800, 224), (1024, 500, 100), (64, 0, 64), (100, 33, 33)])
     def test_fractions_sum_to_one(self, n_total, n_data, n_sense):
