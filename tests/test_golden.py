@@ -1,12 +1,14 @@
-"""Pinned sweep and simulate outputs, so a refactor that shifts every number
+"""Pinned sweep, simulate and bands outputs, so a refactor that shifts every number
 consistently still fails: each case's CSV and each simulate ledger must
-match its committed file byte for byte, and every row's link and
+match its committed file byte for byte, as must the `bands` stdout for
+every band letter and a set of carriers, and every row's link and
 performance figures must match at full precision (the CSV keeps 9
 significant digits, which hides a change in the last bits).
 
 The sweep files in tests/data/ were written by the code as it stood before
 the staged evaluator, the simulate files by the code before the ledger was
-rendered from the result types. Regenerate them only for an intended change
+rendered from the result types, the bands file by the code before band
+records stored their notes verbatim. Regenerate them only for an intended change
 of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,10 +27,12 @@ import pytest
 from jcaslink.cli import main
 from jcaslink.config import parse_overrides, sweep_spec_from_values
 from jcaslink.errors import DomainError
+from jcaslink.spectrum import BAND_LETTERS
 from jcaslink.sweep import run_sweep
 
 DATA = Path(__file__).resolve().parent / "data"
 FULL_PRECISION = DATA / "golden_full_precision.json"
+BANDS = DATA / "bands_queries.txt"
 VARIED = 40
 
 CASES = {
@@ -52,6 +56,10 @@ SIMULATE_CASES = {
     "all_keys": ("--config", str(DATA / "simulate_all_keys.cfg")),
 }
 
+# Every band letter (sorted, since BAND_LETTERS is a frozenset), a lower-case
+# letter, and carriers that are comm_only, jcas_colocated and unallocated.
+BANDS_QUERIES = (*sorted(BAND_LETTERS), "ku", "4.2", "5.41", "0.5", "3.0", "12")
+
 
 def write_csv(case: str, out: Path) -> None:
     argv = ["sweep", "--out", str(out)]
@@ -59,6 +67,18 @@ def write_csv(case: str, out: Path) -> None:
         argv += ["--set", assignment]
     if main(argv) != 0:
         raise RuntimeError(f"golden case {case!r} failed")
+
+
+def bands_stdout() -> str:
+    """The stdout of `bands` for each of BANDS_QUERIES, each under a
+    `$ jcaslink bands <query>` line."""
+    chunks = []
+    for query in BANDS_QUERIES:
+        with contextlib.redirect_stdout(io.StringIO()) as buffer:
+            if main(["bands", query]) != 0:
+                raise RuntimeError(f"bands query {query!r} failed")
+        chunks.append(f"$ jcaslink bands {query}\n{buffer.getvalue()}")
+    return "".join(chunks)
 
 
 def varied_overrides(count: int) -> list:
@@ -120,6 +140,10 @@ def test_simulate_stdout_matches_golden(case, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
 
 
+def test_bands_stdout_matches_golden():
+    assert bands_stdout().encode("utf-8") == BANDS.read_bytes()
+
+
 def test_sweep_values_match_golden_at_full_precision():
     golden = json.loads(FULL_PRECISION.read_text(encoding="utf-8"))
     assert len(golden) == len(CASES) + VARIED
@@ -138,4 +162,5 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(io.StringIO()) as buffer:
             main(["simulate", *SIMULATE_CASES[name]])
         (DATA / f"simulate_{name}.txt").write_text(buffer.getvalue(), encoding="utf-8")
+    BANDS.write_text(bands_stdout(), encoding="utf-8")
     sys.exit(0)
