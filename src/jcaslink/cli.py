@@ -75,7 +75,7 @@ def _cmd_bands(args) -> int:
     except ValueError:
         return _print_band_letter(query)
     report = spectrum.check_jcas_pairing(freq_ghz, args.bandwidth_mhz)
-    comm = spectrum.lookup_comm_band(freq_ghz)
+    comm = report.comm_band
     if comm is None:
         print("comm band: none")
     else:

@@ -8,9 +8,10 @@ into immutable records at load time. File schema, one record per line:
 
 ``service`` is ``communications`` or ``active_sensing``; frequencies are
 integer Hz. For communications rows the notes field is the free-text
-applications column; for active_sensing rows it encodes the per-sensor
-assigned bandwidths verbatim as ``sensor=range`` pairs joined by ``'; '``.
-Blank sensor cells are absent rather than zero.
+applications column; for active_sensing rows it lists the per-sensor
+assigned bandwidths as ``sensor=range`` pairs joined by ``'; '``, and each
+sensor must be one of SENSOR_KINDS. Blank sensor cells are absent rather
+than zero. Records keep the notes text verbatim.
 
 Frequencies are Hz internally; the public lookups accept GHz (and MHz for
 occupied bandwidth) to match how the allocations are usually quoted.
@@ -52,27 +53,23 @@ class PairingVerdict(Enum):
 
 @dataclass(frozen=True)
 class BandRecord:
-    """One allocation row: a service, a band letter and a frequency range."""
+    """One allocation row: a service, a band letter, a frequency range and
+    the database notes text."""
 
     service: ServiceKind
     band_letter: str
     freq_low_hz: int
     freq_high_hz: int
-    applications: str = ""
-    sensor_bandwidths: tuple[tuple[str, str], ...] | None = None
+    notes: str = ""
 
     def __post_init__(self):
         if self.band_letter not in BAND_LETTERS:
             raise DomainError(f"unknown band_letter {self.band_letter!r}")
         if not self.freq_low_hz < self.freq_high_hz:
             raise DomainError("freq_low_hz must be < freq_high_hz")
-        has_sensors = self.sensor_bandwidths is not None
-        if has_sensors != (self.service is ServiceKind.ACTIVE_SENSING):
-            raise DomainError(
-                "sensor_bandwidths must be present exactly for active_sensing records"
-            )
-        if has_sensors:
-            for sensor, _ in self.sensor_bandwidths:
+        if self.service is ServiceKind.ACTIVE_SENSING:
+            for item in self.notes.split("; "):
+                sensor = item.partition("=")[0].strip()
                 if sensor not in SENSOR_KINDS:
                     raise DomainError(f"unknown sensor kind {sensor!r}")
 
@@ -82,20 +79,13 @@ class BandRecord:
     def overlaps_hz(self, low_hz: float, high_hz: float) -> bool:
         return low_hz <= self.freq_high_hz and high_hz >= self.freq_low_hz
 
-    @property
-    def notes(self) -> str:
-        """The database notes field: the applications text, or the sensor
-        bandwidths as ``sensor=range`` pairs joined by ``'; '``."""
-        if self.service is ServiceKind.COMMUNICATIONS:
-            return self.applications
-        return "; ".join(f"{k}={v}" for k, v in self.sensor_bandwidths)
-
 
 @dataclass(frozen=True)
 class PairingReport:
-    """Join of the two tables around one carrier's occupied bandwidth."""
+    """Join of the two tables around one carrier's occupied bandwidth;
+    ``comm_band`` is the communications band containing the carrier."""
 
-    carrier_in_comm_band: str | None
+    comm_band: BandRecord | None
     overlapping_radar_allocations: tuple[BandRecord, ...]
     verdict: PairingVerdict
 
@@ -109,14 +99,7 @@ def parse_record(line: str) -> BandRecord:
         service = ServiceKind(service_raw)
     except ValueError:
         raise DomainError(f"unknown service {service_raw!r}") from None
-    low_hz, high_hz = int(low_raw), int(high_raw)
-    if service is ServiceKind.COMMUNICATIONS:
-        return BandRecord(service, letter, low_hz, high_hz, applications=notes)
-    sensors = tuple(
-        (key.strip(), value.strip())
-        for key, _, value in (item.partition("=") for item in notes.split("; "))
-    )
-    return BandRecord(service, letter, low_hz, high_hz, sensor_bandwidths=sensors)
+    return BandRecord(service, letter, int(low_raw), int(high_raw), notes)
 
 
 def format_record(record: BandRecord) -> str:
@@ -165,53 +148,37 @@ def default_registry() -> tuple[BandRecord, ...]:
     return load_registry()
 
 
-def comm_records(
-    registry: tuple[BandRecord, ...] | None = None,
-) -> tuple[BandRecord, ...]:
-    registry = default_registry() if registry is None else registry
-    return tuple(r for r in registry if r.service is ServiceKind.COMMUNICATIONS)
+def comm_records() -> tuple[BandRecord, ...]:
+    return tuple(r for r in default_registry() if r.service is ServiceKind.COMMUNICATIONS)
 
 
-def radar_records(
-    registry: tuple[BandRecord, ...] | None = None,
-) -> tuple[BandRecord, ...]:
-    registry = default_registry() if registry is None else registry
-    return tuple(r for r in registry if r.service is ServiceKind.ACTIVE_SENSING)
+def radar_records() -> tuple[BandRecord, ...]:
+    return tuple(r for r in default_registry() if r.service is ServiceKind.ACTIVE_SENSING)
 
 
-def lookup_comm_band(
-    freq_ghz: float, registry: tuple[BandRecord, ...] | None = None
-) -> BandRecord | None:
+def lookup_comm_band(freq_ghz: float) -> BandRecord | None:
     """The communications band containing ``freq_ghz``, or None in a gap."""
     if not 0 < freq_ghz < math.inf:
         raise DomainError("freq_ghz must be finite and > 0")
     freq_hz = freq_ghz * _GHZ
-    for record in comm_records(registry):
+    for record in comm_records():
         if record.contains_hz(freq_hz):
             return record
     return None
 
 
-def lookup_radar_allocations(
-    freq_low_ghz: float,
-    freq_high_ghz: float,
-    registry: tuple[BandRecord, ...] | None = None,
-) -> tuple[BandRecord, ...]:
+def lookup_radar_allocations(freq_low_ghz: float, freq_high_ghz: float) -> tuple[BandRecord, ...]:
     """All active-sensing allocations intersecting the closed range, sorted
     by lower band edge."""
     if not freq_low_ghz < freq_high_ghz:
         raise DomainError("freq_low_ghz must be < freq_high_ghz")
     low_hz, high_hz = freq_low_ghz * _GHZ, freq_high_ghz * _GHZ
-    hits = [r for r in radar_records(registry) if r.overlaps_hz(low_hz, high_hz)]
+    hits = [r for r in radar_records() if r.overlaps_hz(low_hz, high_hz)]
     hits.sort(key=lambda r: r.freq_low_hz)
     return tuple(hits)
 
 
-def check_jcas_pairing(
-    carrier_ghz: float,
-    bandwidth_mhz: float,
-    registry: tuple[BandRecord, ...] | None = None,
-) -> PairingReport:
+def check_jcas_pairing(carrier_ghz: float, bandwidth_mhz: float) -> PairingReport:
     """Classify a carrier and its occupied bandwidth against both tables.
 
     Verdict is ``jcas_colocated`` iff the carrier sits in a communications
@@ -229,8 +196,8 @@ def check_jcas_pairing(
         raise DomainError("bandwidth_mhz puts the occupied-band edges past the floating-point range")
     if low_ghz == high_ghz:
         raise DomainError("the occupied-band edges carrier_ghz +- bandwidth_mhz / 2 round to one value")
-    comm = lookup_comm_band(carrier_ghz, registry)
-    radar = lookup_radar_allocations(low_ghz, high_ghz, registry)
+    comm = lookup_comm_band(carrier_ghz)
+    radar = lookup_radar_allocations(low_ghz, high_ghz)
     if comm is None:
         verdict = PairingVerdict.UNALLOCATED
     elif radar:
@@ -238,7 +205,7 @@ def check_jcas_pairing(
     else:
         verdict = PairingVerdict.COMM_ONLY
     return PairingReport(
-        carrier_in_comm_band=None if comm is None else comm.band_letter,
+        comm_band=comm,
         overlapping_radar_allocations=radar,
         verdict=verdict,
     )

@@ -63,7 +63,14 @@ class SweepSpec:
 
     def __post_init__(self):
         for name, kind in (("power_axis_dbw", float), ("element_axis", int)):
-            axis = tuple(typed_value(f"{name} values", kind, v) for v in getattr(self, name))
+            values = getattr(self, name)
+            try:
+                items = iter(values)
+            except TypeError:
+                raise DomainError(
+                    f"{name} must be a sequence of {kind.__name__} values, not {type(values).__name__}"
+                ) from None
+            axis = tuple(typed_value(f"{name} values", kind, v) for v in items)
             if not axis:
                 raise DomainError(f"{name} must be non-empty")
             object.__setattr__(self, name, axis)
@@ -171,7 +178,9 @@ def _point_stage(s: Scenario, mode: Mode):
 
 def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
     """Evaluate one scenario point end to end, as the 1 x 1 grid of run_sweep:
-    geometry -> waveform -> link budget -> performance, fully deterministic."""
+    geometry -> waveform -> link budget -> performance, fully deterministic.
+    A ``mode`` that is not a Mode member is a DomainError naming ``mode``."""
+    mode = typed_value("mode", Mode, mode)
     return _point_stage(s, mode)(s.n_elements)(s.tx_power_dbw)
 
 

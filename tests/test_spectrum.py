@@ -81,14 +81,14 @@ def test_radar_allocations_rejects_inverted_range():
 
 def test_pairing_reference_carrier_comm_only():
     report = check_jcas_pairing(4.2, 100.0)
-    assert report.carrier_in_comm_band == "C"
+    assert report.comm_band.band_letter == "C"
     assert report.overlapping_radar_allocations == ()
     assert report.verdict is PairingVerdict.COMM_ONLY
 
 
 def test_pairing_colocated_at_5p41ghz():
     report = check_jcas_pairing(5.41, 100.0)
-    assert report.carrier_in_comm_band == "C"
+    assert report.comm_band.band_letter == "C"
     assert any(r.freq_low_hz == 5_250_000_000 for r in report.overlapping_radar_allocations)
     assert report.verdict is PairingVerdict.JCAS_COLOCATED
 
@@ -96,7 +96,7 @@ def test_pairing_colocated_at_5p41ghz():
 def test_pairing_unallocated_below_comm_bands():
     # 0.5 GHz +-5 MHz misses both the comm table and the 432-438 MHz row
     report = check_jcas_pairing(0.5, 10.0)
-    assert report.carrier_in_comm_band is None
+    assert report.comm_band is None
     assert report.overlapping_radar_allocations == ()
     assert report.verdict is PairingVerdict.UNALLOCATED
 
@@ -119,10 +119,8 @@ def test_lookup_result_contains_query():
 def test_sensor_bandwidths_verbatim():
     l_band = [r for r in radar_records() if r.band_letter == "L"]
     assert len(l_band) == 1
-    sensors = dict(l_band[0].sensor_bandwidths)
-    assert sensors["sar"] == "20-85 MHz"
-    assert sensors["scatterometer"] == "5-500 kHz"
-    assert "altimeter" not in sensors  # blank cell stays absent
+    # the blank altimeter cell stays absent
+    assert l_band[0].notes == "scatterometer=5-500 kHz; sar=20-85 MHz"
 
 
 def test_duplicate_letter_rows_kept_separate():
@@ -147,8 +145,8 @@ def test_round_trip_reproduces_every_record(tmp_path):
 def test_comm_records_have_no_sensor_map():
     for record in comm_records():
         assert record.service is ServiceKind.COMMUNICATIONS
-        assert record.sensor_bandwidths is None
-        assert record.applications
+        assert record.notes
+        assert "=" not in record.notes  # applications text, no sensor=range pairs
 
 
 def test_malformed_line_reports_line_number(tmp_path):
@@ -156,3 +154,21 @@ def test_malformed_line_reports_line_number(tmp_path):
     bad.write_text("communications|C|3400000000|7025000000|ok\nnot a record\n")
     with pytest.raises(DomainError, match="line 2"):
         load_registry(bad)
+
+
+def test_unknown_sensor_kind_reports_line_number(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# header\nactive_sensing|P|432000000|438000000|radar=5 MHz\n")
+    with pytest.raises(DomainError, match="^band database line 2: unknown sensor kind 'radar'$"):
+        load_registry(bad)
+
+
+def test_spaced_sensor_pair_loads_and_round_trips_verbatim(tmp_path):
+    path = tmp_path / "bands.txt"
+    path.write_text("active_sensing|P|432000000|438000000|sar = 6 MHz\n")
+    (record,) = load_registry(path)
+    assert record.notes == "sar = 6 MHz"
+    out = tmp_path / "out.txt"
+    dump_registry((record,), out)
+    assert load_registry(out) == (record,)
+    assert out.read_text().splitlines()[1] == "active_sensing|P|432000000|438000000|sar = 6 MHz"

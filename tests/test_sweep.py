@@ -49,6 +49,12 @@ class TestRunPoint:
         _, perf_bi = run_point(ref_9dbw, Mode.ALL)
         assert perf.range_mse_m2 > perf_bi.range_mse_m2
 
+    # A str mode would pass through to the bistatic leg unnoticed, since the
+    # monostatic budget is chosen by identity with the Mode member.
+    def test_str_mode_named_in_error(self, ref_9dbw):
+        with pytest.raises(DomainError, match="^mode must be of type Mode, not str$"):
+            run_point(ref_9dbw, "radar_monostatic")
+
     def test_deterministic(self, ref_9dbw):
         first = run_point(ref_9dbw)
         second = run_point(ref_9dbw)
@@ -162,6 +168,8 @@ class TestRunSweep:
             ("power_axis_dbw", ("1",)),
             ("power_axis_dbw", (None,)),
             ("power_axis_dbw", (10**400,)),
+            ("power_axis_dbw", 1.0),
+            ("element_axis", 4),
             ("mode", "all"),
             ("base", None),
         ],
