@@ -17,11 +17,7 @@ from .linkbudget import (
     fspl_db,
     noise_power_dbw,
 )
-from .performance import (
-    PerformanceResult,
-    detection_feasible,
-    range_mse,
-)
+from .performance import PerformanceResult
 from .spectrum import (
     BandRecord,
     PairingReport,
@@ -64,7 +60,6 @@ __all__ = [
     "TonePlacement",
     "array_gain_db",
     "check_jcas_pairing",
-    "detection_feasible",
     "doppler_shift",
     "emit_csv",
     "fspl_db",
@@ -76,7 +71,6 @@ __all__ = [
     "numerology",
     "orbital_speed",
     "partition",
-    "range_mse",
     "run_point",
     "run_sweep",
     "sensing_rms_bandwidth",

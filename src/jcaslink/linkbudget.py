@@ -5,7 +5,8 @@ radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
 ``link_stage`` is the one budget path, in three stages. It computes once
 per scenario every term that depends neither on transmit power nor on
 element count and returns the element stage, which adds the array gain once
-per element count: n_elements -> (tx_power_dbw -> LinkResult).
+per element count and returns the row stage, one loop over the power axis:
+n_elements -> (tx_power_dbws -> [LinkResult]).
 
 Everything works in dB on top of SI quantities. Transmit power is spread
 uniformly over all subcarriers, so the sensing leg carries the sensing
@@ -245,18 +246,6 @@ def radar_terms(s: Scenario, plan: SubcarrierPlan) -> RadarTerms:
     )
 
 
-def radar_budget_db(
-    tx_power_dbw: float, t: RadarTerms, tx_gain_db: float, rx_gain_db: float, rx_leg_db: float
-) -> tuple[float, float]:
-    """(echo power dBW, single-symbol SNR dB); R1 is the satellite-target leg
-    and ``rx_leg_db`` is 20 log10(R2)."""
-    received = (
-        tx_power_dbw + t.sense_fraction_db + tx_gain_db + rx_gain_db + t.wavelength_db + t.rcs_db
-        - _FOUR_PI_DB - t.target_range_db - rx_leg_db
-    )
-    return received, received - t.noise_dbw
-
-
 def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
     """(orbital speed m/s, Doppler shift Hz, Doppler left after precompensation
     Hz) of the user link, worst case: the full circular-orbit speed at the
@@ -269,34 +258,47 @@ def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float,
 def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     """Scenario stage of the budget: evaluate once every term that depends
     neither on transmit power nor on element count, then return the element
-    stage, n_elements -> (tx_power_dbw -> LinkResult)."""
+    stage, n_elements -> (tx_power_dbws -> [LinkResult]). Each radar budget
+    adds its terms in the RadarTerms order, R2 being the target-receiver leg
+    (bistatic) or R1 again (monostatic), then subtracts the sensing noise."""
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
     comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
     radar = radar_terms(s, plan)
+    sense_fraction, wavelength, rcs = radar.sense_fraction_db, radar.wavelength_db, radar.rcs_db
+    target_range, rx_range, noise_sense = radar.target_range_db, radar.rx_range_db, radar.noise_dbw
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
     spacing = num.subcarrier_spacing_hz
+    ici = performance.ici_effective_snr_db
 
     def at_elements(n: int):
         g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
 
-        def evaluate(p: float) -> LinkResult:
-            comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
-            radar_rx, bi_single = radar_budget_db(p, radar, g_tx, sense_rx_gain, radar.rx_range_db)
-            _, mono_single = radar_budget_db(p, radar, g_tx, g_tx, radar.target_range_db)
-            if applied_doppler_hz:
-                comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
-                bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
-                mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
-            return LinkResult(
-                fspl, noise_comm, comm_snr, radar_rx, radar.noise_dbw, bi_single, gain,
-                bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
-            )
+        def row(powers) -> list[LinkResult]:
+            results = []
+            for p in powers:
+                comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
+                radiated = p + sense_fraction + g_tx
+                radar_rx = (
+                    radiated + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range
+                )
+                bi_single = radar_rx - noise_sense
+                mono_single = (
+                    radiated + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range
+                ) - noise_sense
+                if applied_doppler_hz:
+                    comm_snr = ici(comm_snr, applied_doppler_hz, spacing)
+                    bi_single = ici(bi_single, applied_doppler_hz, spacing)
+                    mono_single = ici(mono_single, applied_doppler_hz, spacing)
+                results.append(LinkResult(
+                    fspl, noise_comm, comm_snr, radar_rx, noise_sense, bi_single, gain,
+                    bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
+                ))
+            return results
 
-        return evaluate
+        return row
 
     return at_elements
-

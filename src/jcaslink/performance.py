@@ -19,6 +19,7 @@ QPSK_BITS_PER_SYMBOL = 2
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
 _INFORMATION_OVERFLOWS = "8 pi^2 Brms^2 snr overflows the floating-point range"
+_C_SQ = SPEED_OF_LIGHT * SPEED_OF_LIGHT
 
 
 def _db_to_linear(value_db: float) -> float:
@@ -39,61 +40,59 @@ class PerformanceResult:
     detection_feasible: bool
 
 
-def rate_stage(plan: SubcarrierPlan, num: OfdmNumerology):
-    """Scenario stage of the rate: prefactor = data_fraction * cp_overhead * B and cap =
-    n_data * 2 / t_symbol, once; snr_db -> (prefactor log2(1 + snr), min(that, cap)) bit/s."""
-    prefactor = plan.data_fraction * num.cp_overhead * num.bandwidth_hz
-    try:
-        qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
-    except OverflowError:
-        raise DomainError("n_data * 2 bits is past the floating-point range") from None
-
-    def rate(snr_db: float) -> tuple[float, float]:
-        if not math.isfinite(snr_db):
-            raise DomainError("snr_db must be finite")
-        shannon = prefactor * math.log2(1.0 + _db_to_linear(snr_db))
-        return shannon, min(shannon, qpsk_cap)
-
-    return rate
-
-
-def delay_stage(rms_bandwidth_hz: float):
-    """Scenario stage of the delay bound: 8 pi^2 Brms^2, once; returns post_snr_db
-    -> minimum delay-estimation variance (s^2), 1 / (8 pi^2 Brms^2 snr)."""
+def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_hz: float, threshold_db: float):
+    """Scenario stage of the performance mapping: 8 pi^2 Brms^2, the rate
+    prefactor data_fraction * cp_overhead * B and the QPSK cap n_data * 2 /
+    t_symbol, once. Returns the row stage, (comm_snrs, post_snrs) ->
+    [PerformanceResult], which maps each pair to the Shannon rate
+    prefactor log2(1 + snr) and its cap, the delay variance
+    1 / (8 pi^2 Brms^2 post_snr), the bistatic range error c^2 variance and
+    the feasibility verdict post_snr >= threshold (inclusive). A point's
+    checks run in that order: delay, range, rate, feasibility."""
     if rms_bandwidth_hz <= 0:
         raise DomainError("rms_bandwidth_hz must be > 0")
     scale = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz
     if scale == math.inf:
         raise DomainError(_INFORMATION_OVERFLOWS)
+    prefactor = plan.data_fraction * num.cp_overhead * num.bandwidth_hz
+    try:
+        qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
+    except OverflowError:
+        raise DomainError("n_data * 2 bits is past the floating-point range") from None
+    threshold_finite = math.isfinite(threshold_db)  # checked per point, after the point's own checks
+    isfinite, log2, sqrt, inf = math.isfinite, math.log2, math.sqrt, math.inf
 
-    def variance(post_snr_db: float) -> float:
-        if not math.isfinite(post_snr_db):
-            raise DomainError("post_snr_db must be finite")
-        information = scale * _db_to_linear(post_snr_db)
-        if information == 0.0:
-            raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
-        if information == math.inf:
-            raise DomainError(_INFORMATION_OVERFLOWS)
-        return 1.0 / information
+    def row(comm_snrs, post_snrs) -> list[PerformanceResult]:
+        results = []
+        for comm_snr, post_snr in zip(comm_snrs, post_snrs):
+            if not isfinite(post_snr):
+                raise DomainError("post_snr_db must be finite")
+            try:
+                information = scale * 10.0 ** (post_snr / 10.0)
+            except OverflowError:
+                raise DomainError(f"{post_snr!r} dB overflows the linear scale") from None
+            if information == 0.0:
+                raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
+            if information == inf:
+                raise DomainError(_INFORMATION_OVERFLOWS)
+            variance = 1.0 / information
+            mse = _C_SQ * variance
+            if mse == inf:
+                raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
+            if not isfinite(comm_snr):
+                raise DomainError("snr_db must be finite")
+            try:
+                shannon = prefactor * log2(1.0 + 10.0 ** (comm_snr / 10.0))
+            except OverflowError:
+                raise DomainError(f"{comm_snr!r} dB overflows the linear scale") from None
+            if not threshold_finite:
+                raise DomainError("post_snr_db and threshold_db must be finite")
+            results.append(PerformanceResult(
+                shannon, min(shannon, qpsk_cap), variance, mse, sqrt(mse), post_snr >= threshold_db
+            ))
+        return results
 
-    return variance
-
-
-def range_mse(delay_variance_s2: float) -> tuple[float, float]:
-    """Map delay variance to bistatic-range (mse m^2, rmse m)."""
-    if delay_variance_s2 < 0:
-        raise DomainError("delay_variance_s2 must be >= 0")
-    mse = SPEED_OF_LIGHT * SPEED_OF_LIGHT * delay_variance_s2
-    if mse == math.inf:
-        raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
-    return mse, math.sqrt(mse)
-
-
-def detection_feasible(post_snr_db: float, threshold_db: float) -> bool:
-    """True iff the post-integration SNR meets the threshold (inclusive)."""
-    if not (math.isfinite(post_snr_db) and math.isfinite(threshold_db)):
-        raise DomainError("post_snr_db and threshold_db must be finite")
-    return post_snr_db >= threshold_db
+    return row
 
 
 def _sinc(x: float) -> float:

@@ -2,16 +2,18 @@
 table assembly, and deterministic CSV emission.
 
 Evaluation has three stages: terms that depend only on the scenario are
-computed once per sweep (the budget terms by ``linkbudget.link_stage``),
-the array gain once per element count, and each transmit power adds the
-terms that vary with it. The table imposes a canonical (n_elements,
-tx_power) sort, so output does not depend on axis order.
+computed once per sweep (by ``linkbudget.link_stage`` and
+``performance.performance_stage``), the array gain once per element count,
+and a row evaluates one element count over the whole power axis, one loop
+per layer. Rows run over the sorted axes, so the table is built in its
+canonical (n_elements, tx_power) order whatever the axis order.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
@@ -140,70 +142,72 @@ def scenario_fingerprint(s: Scenario) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def radar_snrs(mode: Mode):
+def radar_snrs(mode: Mode, kinds: tuple[str, ...] = ("single", "integrated")):
     """LinkResult -> (single, integrated) sensing SNR of the mode's radar
-    configuration; choose it once per sweep, not per point."""
-    if mode is Mode.RADAR_MONOSTATIC:
-        return attrgetter("mono_snr_single_db", "mono_snr_integrated_db")
-    return attrgetter("radar_snr_single_db", "radar_snr_integrated_db")
+    configuration (``mono_snr_*`` or ``radar_snr_*``), or the one SNR that
+    ``kinds`` names; choose it once per sweep, not per point."""
+    leg = "mono" if mode is Mode.RADAR_MONOSTATIC else "radar"
+    return attrgetter(*(f"{leg}_snr_{kind}_db" for kind in kinds))
 
 
 def _point_stage(s: Scenario, mode: Mode):
-    """Scenario stage: the link stage plus the sensing RMS bandwidth, once per
-    scenario; returns the element stage,
-    n_elements -> (tx_power_dbw -> (LinkResult, PerformanceResult))."""
+    """Scenario stage: the link and performance stages, once per scenario;
+    returns the element stage, n_elements -> (tx_power_dbws -> [SweepRow]),
+    whose row stage runs one loop per layer over the powers it is given."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
     link_stage = linkbudget.link_stage(s, plan, num)
-    delay = performance.delay_stage(waveform.sensing_rms_bandwidth(plan, num, s.tone_placement))
-    rate = performance.rate_stage(plan, num)
-    snrs = radar_snrs(mode)
+    brms = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
+    performance_row = performance.performance_stage(plan, num, brms, s.detection_threshold_db)
+    comm_snr, post_snr = attrgetter("comm_snr_db"), radar_snrs(mode, ("integrated",))
 
     def at_elements(n: int):
-        link_at = link_stage(n)
+        link_row = link_stage(n)
 
-        def evaluate(p: float) -> tuple[LinkResult, PerformanceResult]:
-            link = link_at(p)
-            _, post_snr = snrs(link)
-            variance = delay(post_snr)
-            mse, rmse = performance.range_mse(variance)
-            shannon, capped = rate(link.comm_snr_db)
-            feasible = performance.detection_feasible(post_snr, s.detection_threshold_db)
-            return link, PerformanceResult(shannon, capped, variance, mse, rmse, feasible)
+        def row(powers) -> list[SweepRow]:
+            links = link_row(powers)
+            perfs = performance_row(map(comm_snr, links), map(post_snr, links))
+            return list(map(SweepRow, powers, repeat(n), links, perfs))
 
-        return evaluate
+        return row
 
     return at_elements
 
 
 def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
-    """Evaluate one scenario point end to end, as the 1 x 1 grid of run_sweep:
+    """Evaluate one scenario point end to end, as the 1 x 1 row of run_sweep:
     geometry -> waveform -> link budget -> performance, fully deterministic.
     A ``mode`` that is not a Mode member is a DomainError naming ``mode``."""
     mode = typed_value("mode", Mode, mode)
-    return _point_stage(s, mode)(s.n_elements)(s.tx_power_dbw)
+    (row,) = _point_stage(s, mode)(s.n_elements)((s.tx_power_dbw,))
+    return row.link, row.perf
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
-    """Evaluate the full power x elements grid into a sorted ResultTable.
+    """Evaluate the full power x elements grid into a ResultTable sorted by
+    (n_elements, tx_power_dbw).
 
-    Points run serially in axis order, so an error names the first failing
-    point; the scenario stage fails exactly where the first point would.
+    Rows run one element count at a time over the sorted power axis, so the
+    table is built in canonical order and does not depend on axis order.
+    A DomainError names the first failing point in axis order, as if the
+    points ran one by one in that order: the scenario stage fails where the
+    first point would, and an array-gain error names its row's first point.
     ``workers`` is accepted and does not change the result."""
-    rows = []
     n, p = spec.element_axis[0], spec.power_axis_dbw[0]
     try:
         at_elements = _point_stage(spec.base, spec.mode)
-        for n in spec.element_axis:
-            p = spec.power_axis_dbw[0]  # an array-gain error names the row's first point
-            evaluate = at_elements(n)
-            for p in spec.power_axis_dbw:
-                link, perf = evaluate(p)
-                rows.append(SweepRow(p, n, link, perf))
+        try:
+            powers = sorted(spec.power_axis_dbw)
+            rows = [row for n in sorted(spec.element_axis) for row in at_elements(n)(powers)]
+        except DomainError:  # attribution pass: the same stages, one point per row, in axis order
+            for n in spec.element_axis:
+                p = spec.power_axis_dbw[0]  # an array-gain error names the row's first point
+                row = at_elements(n)
+                for p in spec.power_axis_dbw:
+                    row((p,))
+            raise
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
-    rows.sort(key=lambda r: (r.n_elements, r.tx_power_dbw))
-
     metadata = {
         "tool": f"jcaslink {__version__}",
         "fingerprint": scenario_fingerprint(spec.base),

@@ -13,7 +13,7 @@ from jcaslink.cli import main as cli_main
 from jcaslink.linkbudget import Scenario, array_gain_db, fspl_db, link_stage, noise_power_dbw
 from jcaslink.spectrum import comm_records, default_registry, dump_registry, load_registry, lookup_comm_band
 from jcaslink.sweep import Mode, SweepSpec, run_sweep
-from jcaslink.performance import delay_stage
+from jcaslink.performance import performance_stage
 from jcaslink.waveform import numerology, partition, sensing_rms_bandwidth, symbols_in
 
 
@@ -99,7 +99,7 @@ def test_criterion_6_monostatic_infeasibility():
 
     g_tx = array_gain_db(base.tx_gain_ref_dbi, base.n_elements, base.n_elements_ref, base.array_gain_model)
     matched = replace(base, rx_gain_sense_dbi=g_tx)
-    link = link_stage(matched, plan, num)(matched.n_elements)(matched.tx_power_dbw)
+    link = link_stage(matched, plan, num)(matched.n_elements)((matched.tx_power_dbw,))[0]
     bi, mono = link.radar_snr_integrated_db, link.mono_snr_integrated_db
     assert bi - mono == pytest.approx(33.81, abs=0.01)
 
@@ -132,15 +132,19 @@ def test_criterion_7_spectrum_exactness(tmp_path):
 
 @criterion(8, "delay-bound scaling laws and sensing-comb RMS bandwidth against brute force")
 def test_criterion_8_delay_bound_properties():
-    for snr in (-10.0, 0.0, 12.5, 30.0):
-        assert delay_stage(28.87e6)(snr + 10.0) == pytest.approx(
-            delay_stage(28.87e6)(snr) / 10.0, rel=1e-9
-        )
-    for bw in (1e6, 28.87e6, 1e8):
-        assert delay_stage(2.0 * bw)(0.0) == pytest.approx(delay_stage(bw)(0.0) / 4.0, rel=1e-9)
-
     plan = partition(1024, 800, 224)
     num = numerology(1e8, 1024, 72)
+
+    def delay_variance(brms, post_snr_db):
+        return performance_stage(plan, num, brms, 10.0)((0.0,), (post_snr_db,))[0].delay_variance_s2
+
+    for snr in (-10.0, 0.0, 12.5, 30.0):
+        assert delay_variance(28.87e6, snr + 10.0) == pytest.approx(
+            delay_variance(28.87e6, snr) / 10.0, rel=1e-9
+        )
+    for bw in (1e6, 28.87e6, 1e8):
+        assert delay_variance(2.0 * bw, 0.0) == pytest.approx(delay_variance(bw, 0.0) / 4.0, rel=1e-9)
+
     step = 1e8 / (plan.n_sense - 1)
     offsets = [-5e7 + i * step for i in range(plan.n_sense)]
     brute = math.sqrt(sum(f * f for f in offsets) / plan.n_sense)

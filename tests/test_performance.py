@@ -5,112 +5,142 @@ import math
 import pytest
 
 from jcaslink.errors import DomainError
-from jcaslink.performance import (
-    delay_stage,
-    detection_feasible,
-    ici_effective_snr_db,
-    range_mse,
-    rate_stage,
-)
+from jcaslink.performance import ici_effective_snr_db, performance_stage
 from jcaslink.waveform import numerology, partition
 
 REF_SNR_DB = 29.59578550945929  # reference comm budget at 9 dBW
+REF_BRMS_HZ = 28.87e6
 
 
 @pytest.fixture
-def ref_num():
-    return numerology(1e8, 1024, 72)
+def ref_stage():
+    """(rms_bandwidth_hz, threshold_db) -> row stage at the reference plan and numerology."""
+    plan, num = partition(1024, 800, 224), numerology(1e8, 1024, 72)
+    return lambda brms=REF_BRMS_HZ, threshold_db=10.0: performance_stage(plan, num, brms, threshold_db)
 
 
 @pytest.fixture
-def ref_plan():
-    return partition(1024, 800, 224)
+def perf_at(ref_stage):
+    """The PerformanceResult of one point: comm SNR, post-integration SNR,
+    RMS bandwidth and detection threshold."""
+
+    def at(comm_snr_db=REF_SNR_DB, post_snr_db=0.0, brms=REF_BRMS_HZ, threshold_db=10.0):
+        (result,) = ref_stage(brms, threshold_db)((comm_snr_db,), (post_snr_db,))
+        return result
+
+    return at
 
 
 class TestAchievableRate:
-    def test_reference_shannon_rate(self, ref_plan, ref_num):
+    def test_reference_shannon_rate(self, perf_at):
         # oracle: 0.78125 * (10.24/10.96) * 1e8 * log2(1 + 10^2.9596)
-        shannon, _ = rate_stage(ref_plan, ref_num)(REF_SNR_DB)
+        shannon = perf_at(REF_SNR_DB).shannon_rate_bps
         assert shannon == pytest.approx(717743772.89121, rel=1e-9)
         assert shannon == pytest.approx(7.18e8, rel=0.01)
 
-    def test_qpsk_cap(self, ref_plan, ref_num):
+    def test_qpsk_cap(self, perf_at):
         # 800 data subcarriers * 2 bit / 10.96 us
-        _, capped = rate_stage(ref_plan, ref_num)(60.0)
+        capped = perf_at(60.0).qpsk_capped_rate_bps
         assert capped == pytest.approx(145985401.459854, rel=1e-9)
         assert capped == pytest.approx(1.4599e8, rel=1e-3)
 
-    def test_cap_is_min_of_both(self, ref_plan, ref_num):
-        shannon, capped = rate_stage(ref_plan, ref_num)(REF_SNR_DB)
+    def test_cap_is_min_of_both(self, perf_at):
+        result = perf_at(REF_SNR_DB)
+        shannon, capped = result.shannon_rate_bps, result.qpsk_capped_rate_bps
         assert capped == min(shannon, 145985401.459854)
 
-    def test_vanishing_snr(self, ref_plan, ref_num):
-        shannon, capped = rate_stage(ref_plan, ref_num)(-300.0)
+    def test_vanishing_snr(self, perf_at):
+        result = perf_at(-300.0)
+        shannon, capped = result.shannon_rate_bps, result.qpsk_capped_rate_bps
         assert 0.0 <= shannon < 1e-12
         assert capped == shannon
 
-    def test_strictly_increasing_in_snr(self, ref_plan, ref_num):
+    def test_strictly_increasing_in_snr(self, ref_stage):
         grid = [-20.0 + i * 2.5 for i in range(25)]
-        rates = [rate_stage(ref_plan, ref_num)(s)[0] for s in grid]
+        rates = [r.shannon_rate_bps for r in ref_stage()(grid, [0.0] * len(grid))]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_nonfinite_snr_rejected(self, ref_plan, ref_num):
+    def test_nonfinite_snr_rejected(self, perf_at):
         with pytest.raises(DomainError):
-            rate_stage(ref_plan, ref_num)(math.nan)
+            perf_at(math.nan)
 
 
 class TestDelayCrlb:
-    def test_reference_value(self):
+    def test_reference_value(self, perf_at):
         # oracle: 1 / (8 pi^2 * (28.87 MHz)^2 * 1)
-        assert delay_stage(28.87e6)(0.0) == pytest.approx(1.5195559655333245e-17, rel=1e-9)
+        assert perf_at(post_snr_db=0.0).delay_variance_s2 == pytest.approx(1.5195559655333245e-17, rel=1e-9)
 
-    def test_inverse_snr_law(self):
-        assert delay_stage(28.87e6)(10.0) == pytest.approx(delay_stage(28.87e6)(0.0) / 10.0, rel=1e-9)
+    def test_inverse_snr_law(self, perf_at):
+        assert perf_at(post_snr_db=10.0).delay_variance_s2 == pytest.approx(
+            perf_at(post_snr_db=0.0).delay_variance_s2 / 10.0, rel=1e-9
+        )
 
-    def test_inverse_square_bandwidth_law(self):
-        assert delay_stage(2 * 28.87e6)(0.0) == pytest.approx(delay_stage(28.87e6)(0.0) / 4.0, rel=1e-9)
+    def test_inverse_square_bandwidth_law(self, perf_at):
+        assert perf_at(brms=2 * 28.87e6).delay_variance_s2 == pytest.approx(
+            perf_at(brms=28.87e6).delay_variance_s2 / 4.0, rel=1e-9
+        )
 
-    def test_rmse_halves_per_six_db(self):
+    def test_rmse_halves_per_six_db(self, perf_at):
         # +6.0206 dB quadruples the linear SNR, halving the RMS delay error
-        lo = math.sqrt(delay_stage(28.87e6)(0.0))
-        hi = math.sqrt(delay_stage(28.87e6)(6.0205999132796239))
+        lo = math.sqrt(perf_at(post_snr_db=0.0).delay_variance_s2)
+        hi = math.sqrt(perf_at(post_snr_db=6.0205999132796239).delay_variance_s2)
         assert hi == pytest.approx(lo / 2.0, rel=1e-9)
 
-    def test_nonpositive_bandwidth_rejected(self):
+    def test_nonpositive_bandwidth_rejected(self, ref_stage):
         with pytest.raises(DomainError, match="^rms_bandwidth_hz must be > 0$"):
-            delay_stage(0.0)(0.0)
+            ref_stage(0.0)
 
 
 class TestRangeMse:
-    def test_reference_mapping(self):
-        mse, rmse = range_mse(1.5195559655333245e-17)
+    def test_reference_mapping(self, perf_at):
+        # the variance of TestDelayCrlb.test_reference_value, 1.5195559655333245e-17 s^2
+        result = perf_at(post_snr_db=0.0)
+        mse, rmse = result.range_mse_m2, result.range_rmse_m
         assert mse == pytest.approx(1.3657087934035006, rel=1e-9)
         assert rmse == pytest.approx(1.168635440761361, rel=1e-9)
         assert mse == pytest.approx(1.366, rel=0.01)
         assert rmse == pytest.approx(1.17, rel=0.01)
 
-    def test_zero(self):
-        assert range_mse(0.0) == (0.0, 0.0)
-
-    def test_linearity(self):
-        mse1, _ = range_mse(1e-17)
-        mse4, _ = range_mse(4e-17)
+    def test_linearity(self, perf_at):
+        # doubling Brms quarters the delay variance exactly
+        mse1 = perf_at(brms=2 * REF_BRMS_HZ).range_mse_m2
+        mse4 = perf_at(brms=REF_BRMS_HZ).range_mse_m2
         assert mse4 == pytest.approx(4.0 * mse1, rel=1e-12)
 
-    def test_negative_variance_rejected(self):
+    def test_overflowing_range_error_rejected(self, perf_at):
+        # the delay bound is finite, c^2 times it is not
         with pytest.raises(DomainError):
-            range_mse(-1e-18)
+            perf_at(post_snr_db=-3085.0)
 
 
 class TestDetectionFeasible:
-    def test_reference_bistatic_point_below_threshold(self):
-        assert detection_feasible(3.1, 10.0) is False
+    def test_reference_bistatic_point_below_threshold(self, perf_at):
+        assert perf_at(post_snr_db=3.1, threshold_db=10.0).detection_feasible is False
 
-    def test_threshold_inclusive(self):
-        assert detection_feasible(10.0, 10.0) is True
+    def test_threshold_inclusive(self, perf_at):
+        assert perf_at(post_snr_db=10.0, threshold_db=10.0).detection_feasible is True
 
-    def test_monostatic_reference_point(self):
-        assert detection_feasible(-40.69, 10.0) is False
+    def test_monostatic_reference_point(self, perf_at):
+        assert perf_at(post_snr_db=-40.69, threshold_db=10.0).detection_feasible is False
+
+
+# Checks run in the order delay, range, rate, feasibility, so a point with
+# several faults reports the first.
+@pytest.mark.parametrize(
+    "comm_snr_db, post_snr_db, threshold_db, message",
+    [
+        (math.nan, math.nan, math.inf, "post_snr_db must be finite"),
+        (math.nan, -4000.0, math.inf, "8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded"),
+        (math.nan, -3085.0, math.inf, "c^2 * delay_variance_s2 overflows the floating-point range"),
+        (math.nan, 0.0, math.inf, "snr_db must be finite"),
+        (4000.0, 0.0, math.inf, "4000.0 dB overflows the linear scale"),
+        (0.0, 0.0, math.inf, "post_snr_db and threshold_db must be finite"),
+    ],
+)
+def test_point_checks_run_in_order(perf_at, comm_snr_db, post_snr_db, threshold_db, message):
+    with pytest.raises(DomainError) as error:
+        perf_at(comm_snr_db, post_snr_db, threshold_db=threshold_db)
+    assert str(error.value) == message
 
 
 class TestIciPenalty:

@@ -49,26 +49,34 @@ def scenarios(draw):
     )
 
 
+def with_permutation(values):
+    """(list, the same list in an order drawn at random)"""
+    return values.flatmap(lambda xs: st.tuples(st.just(tuple(xs)), st.permutations(xs).map(tuple)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     base=scenarios(),
     mode=st.sampled_from(Mode),
-    powers=st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=4, unique=True),
-    elements=st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True),
+    powers=with_permutation(st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=4, unique=True)),
+    elements=with_permutation(st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True)),
 )
 # Uncompensated Ka-band Doppler: the ICI penalty moves every SNR by tens of dB.
 @example(
     base=Scenario(doppler_precompensated=False, carrier_hz=30e9),
     mode=Mode.ALL,
-    powers=[1.0, 9.0],
-    elements=[1, 16],
+    powers=((1.0, 9.0), (9.0, 1.0)),
+    elements=((1, 16), (16, 1)),
 )
 def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
-    spec = SweepSpec(base=base, power_axis_dbw=tuple(powers), element_axis=tuple(elements), mode=mode)
+    (powers, permuted_powers), (elements, permuted_elements) = powers, elements
+    spec = SweepSpec(base=base, power_axis_dbw=tuple(sorted(powers)), element_axis=tuple(sorted(elements)), mode=mode)
     table = run_sweep(spec)
     for row in table.rows:
         s = replace(base, tx_power_dbw=row.tx_power_dbw, n_elements=row.n_elements)
         assert (row.link, row.perf) == run_point(s, mode)
+    permuted = run_sweep(replace(spec, power_axis_dbw=permuted_powers, element_axis=permuted_elements))
+    assert permuted.rows == table.rows
 
 
 @pytest.mark.parametrize("fault", [{"n_sense": 0}, {"t_integration_s": 0.0}])
@@ -82,9 +90,9 @@ PUBLIC_NAMES = [
     "ArrayGainModel", "BandRecord", "ConfigError", "DomainError", "LinkResult", "Mode", "OfdmNumerology",
     "PairingReport", "PairingVerdict", "PartitionOverflowError", "PerformanceResult", "ResultTable", "Scenario",
     "ServiceKind", "SubcarrierPlan", "SweepSpec", "TonePlacement", "__version__", "array_gain_db",
-    "check_jcas_pairing", "detection_feasible", "doppler_shift", "emit_csv", "fspl_db", "implied_altitude",
+    "check_jcas_pairing", "doppler_shift", "emit_csv", "fspl_db", "implied_altitude",
     "load_registry", "lookup_comm_band", "lookup_radar_allocations", "noise_power_dbw", "numerology",
-    "orbital_speed", "partition", "range_mse", "run_point", "run_sweep", "sensing_rms_bandwidth", "symbols_in",
+    "orbital_speed", "partition", "run_point", "run_sweep", "sensing_rms_bandwidth", "symbols_in",
 ]
 
 
@@ -103,6 +111,11 @@ def test_public_surface():
         (linkbudget, "tx_array_gain_db"),
         (performance, "achievable_rate"),
         (performance, "delay_crlb"),
+        (performance, "rate_stage"),
+        (performance, "delay_stage"),
+        (performance, "range_mse"),
+        (performance, "detection_feasible"),
+        (linkbudget, "radar_budget_db"),
         (geometry, "slant_range"),
     ],
 )

@@ -128,22 +128,29 @@ class TestRunSweep:
     # A point error inside a row names that point, not the row's first one:
     # 2915 dBW overflows the delay bound only at 4 elements and -3076 dBW
     # the range error only at 1; an array-gain error names the row's count.
+    # The error names the first failing point in axis order, also where the
+    # sorted grid fails first elsewhere: at (1, -4000) for the reversed
+    # axes, and, with uncompensated Doppler, at 4000 dBW, whose ICI penalty
+    # overflows in the link budget, before the performance mapping rejects
+    # the -inf SNR of -4000 dBW.
     @pytest.mark.parametrize(
-        "powers, elements, point",
+        "powers, elements, point, base",
         [
-            ((1.0, -4000.0), (1,), (1, -4000.0)),
-            ((1.0, 2.0, -4000.0, 3.0), (1, 4), (1, -4000.0)),
-            ((1.0, 2915.0), (1, 4), (4, 2915.0)),
-            ((1.0, -3076.0), (4, 1), (1, -3076.0)),
-            ((1.0, 2.0), (1, 10**400), (10**400, 1.0)),
+            ((1.0, -4000.0), (1,), (1, -4000.0), Scenario()),
+            ((1.0, 2.0, -4000.0, 3.0), (1, 4), (1, -4000.0), Scenario()),
+            ((1.0, 2915.0), (1, 4), (4, 2915.0), Scenario()),
+            ((1.0, -3076.0), (4, 1), (1, -3076.0), Scenario()),
+            ((1.0, 2.0), (1, 10**400), (10**400, 1.0), Scenario()),
+            ((2915.0, 1.0, -4000.0), (4, 1), (4, 2915.0), Scenario()),
+            ((-4000.0, 4000.0), (1,), (1, -4000.0), Scenario(doppler_precompensated=False)),
         ],
     )
-    def test_point_errors_name_their_own_point(self, powers, elements, point):
+    def test_point_errors_name_their_own_point(self, powers, elements, point, base):
         n, p = point
         with pytest.raises(DomainError) as point_error:
-            run_point(Scenario(n_elements=n, tx_power_dbw=p))
+            run_point(replace(base, n_elements=n, tx_power_dbw=p))
         with pytest.raises(DomainError) as sweep_error:
-            run_sweep(SweepSpec(power_axis_dbw=powers, element_axis=elements))
+            run_sweep(SweepSpec(base=base, power_axis_dbw=powers, element_axis=elements))
         assert str(sweep_error.value) == f"grid point (n_elements={n}, tx_power_dbw={p}): {point_error.value}"
 
     def test_empty_axis_rejected(self):
@@ -202,8 +209,19 @@ class TestRunSweep:
         for name in ("array_gain_db", "fspl_db", "integration_gain_db", "noise_power_dbw"):
             count(linkbudget, name)
         count(waveform, "sensing_rms_bandwidth")
-        for name in ("rate_stage", "delay_stage"):
-            count(performance, name)
+        stage = performance.performance_stage
+
+        def counted_stage(*args):
+            calls["performance_stage"] += 1
+            row = stage(*args)
+
+            def counted_row(*row_args):
+                calls["performance row"] += 1
+                return row(*row_args)
+
+            return counted_row
+
+        monkeypatch.setattr(performance, "performance_stage", counted_stage)
         spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
         assert len(run_sweep(spec).rows) == 2000
         assert calls == {
@@ -212,8 +230,8 @@ class TestRunSweep:
             "integration_gain_db": 1,
             "sensing_rms_bandwidth": 1,
             "noise_power_dbw": 2,  # communications band and sensing band
-            "rate_stage": 1,
-            "delay_stage": 1,
+            "performance_stage": 1,
+            "performance row": 40,  # one call per element count, not per point
         }
 
 
