@@ -272,7 +272,6 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
     spacing = num.subcarrier_spacing_hz
-    ici = performance.ici_effective_snr_db
 
     def at_elements(n: int):
         g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
@@ -290,9 +289,9 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
                     radiated + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range
                 ) - noise_sense
                 if applied_doppler_hz:
-                    comm_snr = ici(comm_snr, applied_doppler_hz, spacing)
-                    bi_single = ici(bi_single, applied_doppler_hz, spacing)
-                    mono_single = ici(mono_single, applied_doppler_hz, spacing)
+                    comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
+                    bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
+                    mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
                 results.append(LinkResult(
                     fspl, noise_comm, comm_snr, radar_rx, noise_sense, bi_single, gain,
                     bi_single + gain, mono_single, mono_single + gain, implied_alt_km,

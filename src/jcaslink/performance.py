@@ -22,14 +22,6 @@ _INFORMATION_OVERFLOWS = "8 pi^2 Brms^2 snr overflows the floating-point range"
 _C_SQ = SPEED_OF_LIGHT * SPEED_OF_LIGHT
 
 
-def _db_to_linear(value_db: float) -> float:
-    """10^(x/10); a value past the floating-point range is a DomainError."""
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        raise DomainError(f"{value_db!r} dB overflows the linear scale") from None
-
-
 @dataclass(slots=True)
 class PerformanceResult:
     shannon_rate_bps: float
@@ -119,7 +111,10 @@ def ici_effective_snr_db(snr_db: float, doppler_hz: float, subcarrier_spacing_hz
     if doppler_hz == 0.0:
         return snr_db
     a = _sinc(doppler_hz / subcarrier_spacing_hz) ** 2
-    snr = _db_to_linear(snr_db)
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{snr_db!r} dB overflows the linear scale") from None
     sinr = a * snr / (1.0 + (1.0 - a) * snr)
     if sinr == 0.0:
         return float("-inf")

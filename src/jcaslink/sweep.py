@@ -142,12 +142,15 @@ def scenario_fingerprint(s: Scenario) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def radar_snrs(mode: Mode, kinds: tuple[str, ...] = ("single", "integrated")):
+def radar_snrs(mode: Mode):
     """LinkResult -> (single, integrated) sensing SNR of the mode's radar
-    configuration (``mono_snr_*`` or ``radar_snr_*``), or the one SNR that
-    ``kinds`` names; choose it once per sweep, not per point."""
-    leg = "mono" if mode is Mode.RADAR_MONOSTATIC else "radar"
-    return attrgetter(*(f"{leg}_snr_{kind}_db" for kind in kinds))
+    configuration; choose it once per sweep, not per point."""
+    if mode is Mode.RADAR_MONOSTATIC:
+        return attrgetter("mono_snr_single_db", "mono_snr_integrated_db")
+    return attrgetter("radar_snr_single_db", "radar_snr_integrated_db")
+
+
+_COMM_SNR = attrgetter("comm_snr_db")
 
 
 def _point_stage(s: Scenario, mode: Mode):
@@ -159,14 +162,15 @@ def _point_stage(s: Scenario, mode: Mode):
     link_stage = linkbudget.link_stage(s, plan, num)
     brms = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
     performance_row = performance.performance_stage(plan, num, brms, s.detection_threshold_db)
-    comm_snr, post_snr = attrgetter("comm_snr_db"), radar_snrs(mode, ("integrated",))
+    # the integrated SNR of the radar leg that radar_snrs(mode) reads
+    post_snr = attrgetter("mono_snr_integrated_db" if mode is Mode.RADAR_MONOSTATIC else "radar_snr_integrated_db")
 
     def at_elements(n: int):
         link_row = link_stage(n)
 
         def row(powers) -> list[SweepRow]:
             links = link_row(powers)
-            perfs = performance_row(map(comm_snr, links), map(post_snr, links))
+            perfs = performance_row(map(_COMM_SNR, links), map(post_snr, links))
             return list(map(SweepRow, powers, repeat(n), links, perfs))
 
         return row
