@@ -18,16 +18,6 @@ from .linkbudget import (
     noise_power_dbw,
 )
 from .performance import PerformanceResult
-from .spectrum import (
-    BandRecord,
-    PairingReport,
-    PairingVerdict,
-    ServiceKind,
-    check_jcas_pairing,
-    load_registry,
-    lookup_comm_band,
-    lookup_radar_allocations,
-)
 from .sweep import Mode, ResultTable, SweepSpec, emit_csv, run_point, run_sweep
 from .waveform import (
     OfdmNumerology,
@@ -76,3 +66,18 @@ __all__ = [
     "sensing_rms_bandwidth",
     "symbols_in",
 ]
+
+# The __all__ names not imported above are the band-registry names; they load
+# jcaslink.spectrum on first access (PEP 562), as a sweep never needs it.
+_SPECTRUM_NAMES = frozenset(__all__) - globals().keys()
+
+
+def __getattr__(name):
+    if name in _SPECTRUM_NAMES:
+        from . import spectrum
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _SPECTRUM_NAMES)

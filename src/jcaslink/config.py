@@ -6,9 +6,9 @@ total: every document yields a value dict or a line-numbered ConfigError.
 Omitted keys keep the reference-scenario defaults.
 """
 
+import os
 from dataclasses import fields
 from enum import EnumMeta
-from pathlib import Path
 
 from .errors import ConfigError
 from .linkbudget import Scenario
@@ -86,10 +86,11 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def parse_config_file(path: str | Path) -> dict:
+def parse_config_file(path: str | os.PathLike) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text)
 
@@ -103,7 +104,7 @@ def parse_overrides(pairs: list[str]) -> dict:
     return values
 
 
-def effective_values(config_path: str | Path | None, overrides: list[str]) -> dict:
+def effective_values(config_path: str | os.PathLike | None, overrides: list[str]) -> dict:
     """Merge precedence: overrides beat config-file values beat defaults."""
     values = {} if config_path is None else parse_config_file(config_path)
     values.update(parse_overrides(overrides))

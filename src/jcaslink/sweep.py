@@ -10,13 +10,12 @@ canonical (n_elements, tx_power) order whatever the axis order.
 """
 
 import hashlib
-import json
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from math import isfinite
 from operator import attrgetter
-from pathlib import Path
 
 from . import constants, linkbudget, performance, waveform
 from ._version import __version__
@@ -115,11 +114,12 @@ _CONSTANTS_METADATA = ";".join(f"{k}={v!r}" for k, v in _CONSTANTS.items())
 
 _FINGERPRINT_FIELDS = tuple(sorted(f.name for f in fields(Scenario)))
 _fingerprint_values = attrgetter(*_FINGERPRINT_FIELDS)
-# The fingerprint's JSON with a bare %s for each field value, in the order
-# of _FINGERPRINT_FIELDS.
-_FINGERPRINT_JSON = json.dumps(
-    {**dict.fromkeys(_FINGERPRINT_FIELDS, "%s"), "_constants": _CONSTANTS}, sort_keys=True
-).replace('"%s"', "%s")
+# The fingerprint's JSON, laid out as json.dumps(..., sort_keys=True) lays it
+# out, with a bare %s for each field value, in the order of _FINGERPRINT_FIELDS.
+_CONSTANTS_JSON = "{%s}" % ", ".join(f'"{k}": {v!r}' for k, v in sorted(_CONSTANTS.items()))
+_FINGERPRINT_JSON = "{%s}" % ", ".join(
+    f'"{k}": {v}' for k, v in sorted({**dict.fromkeys(_FINGERPRINT_FIELDS, "%s"), "_constants": _CONSTANTS_JSON}.items())
+)
 
 
 def _json_token(value) -> str:
@@ -132,7 +132,7 @@ def _json_token(value) -> str:
         return int.__repr__(value)
     if value is None:
         return "null"
-    return json.dumps(value.value)  # Scenario holds only these types and enum members
+    return '"%s"' % value.value  # an enum member; no value needs a JSON escape
 
 
 def scenario_fingerprint(s: Scenario) -> str:
@@ -239,7 +239,7 @@ def format_value(value) -> str:
 _ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
 
 
-def emit_csv(table: ResultTable, destination: str | Path) -> None:
+def emit_csv(table: ResultTable, destination: str | os.PathLike) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     row, floats at 9 significant digits. Re-emission is byte-identical.
     Each row is one %-format whose seven float cells take FLOAT_SPEC; each

@@ -5,6 +5,11 @@ import re
 import pytest
 
 from jcaslink.cli import main
+from jcaslink.config import parse_config_file
+from jcaslink.errors import ConfigError
+from test_single_path import fresh_python
+
+NOT_UTF8 = b"n_sense = 10\n\xff\xfe bad\n"
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +27,19 @@ def report_value(out: str, key: str) -> str:
     match = re.search(rf"^{key} = (.+)$", out, re.MULTILINE)
     assert match, f"report line for {key!r} missing"
     return match.group(1)
+
+
+def test_config_file_not_utf8_is_a_config_error(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(NOT_UTF8)
+    with pytest.raises(ConfigError, match="cannot read config file .*bad.cfg: 'utf-8' codec can't decode"):
+        parse_config_file(config)
+
+
+def test_config_file_path_may_be_str_or_pathlike(tmp_path):
+    config = tmp_path / "ok.cfg"
+    config.write_text("# comment\nn_sense = 10\n", encoding="utf-8")
+    assert parse_config_file(config) == parse_config_file(str(config)) == {"n_sense": 10}
 
 
 class TestSimulate:
@@ -121,6 +139,15 @@ class TestSimulate:
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    def test_config_file_not_utf8_exits_2_without_traceback(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(NOT_UTF8)
+        result = fresh_python("-m", "jcaslink.cli", "simulate", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error[config]: cannot read config file") and "Traceback" not in result.stderr
 
     def test_doppler_flag_changes_report(self, capsys):
         _, out, _ = run_cli(capsys, "simulate", "--set", "doppler_precompensated=false")

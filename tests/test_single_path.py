@@ -3,7 +3,11 @@ point, bit for bit, and the public surface offers no second entry point.
 Any scenario a config file can reach evaluates or raises DomainError."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,6 +103,38 @@ PUBLIC_NAMES = [
 def test_public_surface():
     assert sorted(jcaslink.__all__) == PUBLIC_NAMES
     assert all(hasattr(jcaslink, name) for name in PUBLIC_NAMES)
+
+
+def test_public_names_resolve_through_getattr_star_import_and_dir():
+    namespace = {}
+    exec("from jcaslink import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(jcaslink, name)
+    assert set(PUBLIC_NAMES) <= set(dir(jcaslink))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jcaslink.no_such_name
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on args in a new process that imports this jcaslink."""
+    env = {**os.environ, "PYTHONPATH": str(Path(jcaslink.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def modules_after(statements: str) -> set:
+    """sys.modules after running statements in a fresh interpreter without
+    ``site``, whose .pth files may preload what jcaslink should not need."""
+    result = fresh_python("-S", "-c", f"{statements}\nimport sys\nprint(*sys.modules)")
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_package_import_loads_no_registry_json_or_pathlib():
+    loaded = modules_after("import jcaslink, jcaslink.config")
+    assert "jcaslink.sweep" in loaded
+    assert loaded.isdisjoint({"json", "pathlib", "jcaslink.spectrum"})
+    assert "jcaslink.spectrum" in modules_after("import jcaslink\njcaslink.check_jcas_pairing")
+    assert "jcaslink.spectrum" in modules_after("import jcaslink.cli")
 
 
 # Second entry points deleted in favour of run_point and the stage functions.

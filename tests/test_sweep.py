@@ -6,14 +6,14 @@ import json
 import tempfile
 from collections import Counter
 from dataclasses import fields, replace
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcaslink import constants, linkbudget, performance, waveform
+from jcaslink import constants, linkbudget, performance, sweep, waveform
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.sweep import (
@@ -235,6 +235,14 @@ class TestRunSweep:
         }
 
 
+PINNED_CONSTANTS = {
+    "speed_of_light": constants.SPEED_OF_LIGHT,
+    "boltzmann": constants.BOLTZMANN,
+    "mu_earth": constants.MU_EARTH,
+    "earth_radius_km": constants.EARTH_RADIUS_KM,
+}
+
+
 class TestFingerprint:
     def test_stable_for_identical_scenarios(self):
         assert scenario_fingerprint(Scenario()) == scenario_fingerprint(Scenario())
@@ -284,14 +292,20 @@ class TestFingerprint:
             return
         payload = {f.name: getattr(s, f.name) for f in fields(s)}
         payload = {name: v.value if isinstance(v, Enum) else v for name, v in payload.items()}
-        payload["_constants"] = {
-            "speed_of_light": constants.SPEED_OF_LIGHT,
-            "boltzmann": constants.BOLTZMANN,
-            "mu_earth": constants.MU_EARTH,
-            "earth_radius_km": constants.EARTH_RADIUS_KM,
-        }
+        payload["_constants"] = PINNED_CONSTANTS
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         assert scenario_fingerprint(s) == hashlib.sha256(blob).hexdigest()[:16]
+
+    def test_template_is_the_json_dumps_template(self):
+        template = {**dict.fromkeys((f.name for f in fields(Scenario)), "%s"), "_constants": PINNED_CONSTANTS}
+        assert sweep._FINGERPRINT_JSON == json.dumps(template, sort_keys=True).replace('"%s"', "%s")
+
+    # The template's enum token skips JSON escaping; every value must need none.
+    @pytest.mark.parametrize(
+        "member", [member for f in fields(Scenario) if isinstance(f.type, EnumMeta) for member in f.type]
+    )
+    def test_enum_token_is_json_dumps_of_its_value(self, member):
+        assert sweep._json_token(member) == json.dumps(member.value)
 
 
 class TestEmitCsv:
