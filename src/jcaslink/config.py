@@ -35,12 +35,11 @@ def _parse_enum(enum_cls):
     return parse
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(item.strip()) for item in raw.split(","))
+def _parse_list(kind):
+    def parse(raw: str) -> tuple:
+        return tuple(kind(item.strip()) for item in raw.split(","))
 
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(item.strip()) for item in raw.split(","))
+    return parse
 
 
 _PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: float}
@@ -52,8 +51,8 @@ SCENARIO_PARSERS = {
 }
 
 SWEEP_PARSERS = {
-    "power_axis_dbw": _parse_float_list,
-    "element_axis": _parse_int_list,
+    "power_axis_dbw": _parse_list(float),
+    "element_axis": _parse_list(int),
     "mode": _parse_enum(Mode),
 }
 

@@ -2,11 +2,10 @@
 noise, array gain scaling, and the communications / bistatic / monostatic
 radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
 
-``link_stage`` is the one budget path, in three stages. It computes once
-per scenario every term that depends neither on transmit power nor on
-element count and returns the element stage, which adds the array gain once
-per element count and returns the row stage, one loop over the power axis:
-n_elements -> (tx_power_dbws -> [LinkResult]).
+``link_stage`` is the one budget path, in two stages. It computes once per
+scenario every term that depends neither on transmit power nor on element
+count and returns the row, (n_elements, tx_power_dbws) -> [LinkResult], which
+adds the array gain once and then runs one loop over the power axis.
 
 Everything works in dB on top of SI quantities. Transmit power is spread
 uniformly over all subcarriers, so the sensing leg carries the sensing
@@ -110,6 +109,8 @@ class Scenario:
         for name, value in zip(_SCENARIO_FIELDS, _scenario_values(self)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
+            if type(value) is int:
+                check_printable(name, value)
 
     @property
     def comm_rx_gain_dbi(self) -> float:
@@ -141,6 +142,15 @@ def typed_value(name: str, kind, value):
         if kind is int and isinstance(value, int):
             return int(value)
     raise DomainError(f"{name} must be of type {getattr(kind, '__name__', kind)}, not {type(value).__name__}")
+
+
+def check_printable(name: str, value: int) -> None:
+    """A DomainError naming the field if ``value`` has more digits than Python
+    converts to text, which the fingerprint and error messages need."""
+    try:
+        int.__repr__(value)
+    except ValueError:
+        raise DomainError(f"{name} must be within Python's integer-to-text digit limit") from None
 
 
 @dataclass(slots=True)
@@ -257,10 +267,10 @@ def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float,
 
 def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     """Scenario stage of the budget: evaluate once every term that depends
-    neither on transmit power nor on element count, then return the element
-    stage, n_elements -> (tx_power_dbws -> [LinkResult]). Each radar budget
-    adds its terms in the RadarTerms order, R2 being the target-receiver leg
-    (bistatic) or R1 again (monostatic), then subtracts the sensing noise."""
+    neither on transmit power nor on element count, then return the row,
+    (n_elements, tx_power_dbws) -> [LinkResult], array gain first. Each radar
+    budget adds its terms in the RadarTerms order, R2 being the target-receiver
+    leg (bistatic) or R1 again (monostatic), then subtracts the sensing noise."""
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
@@ -273,31 +283,27 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
     spacing = num.subcarrier_spacing_hz
 
-    def at_elements(n: int):
+    def row(n: int, powers) -> list[LinkResult]:
         g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
+        results = []
+        for p in powers:
+            comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
+            radiated = p + sense_fraction + g_tx
+            radar_rx = (
+                radiated + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range
+            )
+            bi_single = radar_rx - noise_sense
+            mono_single = (
+                radiated + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range
+            ) - noise_sense
+            if applied_doppler_hz:
+                comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
+                bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
+                mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
+            results.append(LinkResult(
+                fspl, noise_comm, comm_snr, radar_rx, noise_sense, bi_single, gain,
+                bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
+            ))
+        return results
 
-        def row(powers) -> list[LinkResult]:
-            results = []
-            for p in powers:
-                comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
-                radiated = p + sense_fraction + g_tx
-                radar_rx = (
-                    radiated + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range
-                )
-                bi_single = radar_rx - noise_sense
-                mono_single = (
-                    radiated + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range
-                ) - noise_sense
-                if applied_doppler_hz:
-                    comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
-                    bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
-                    mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
-                results.append(LinkResult(
-                    fspl, noise_comm, comm_snr, radar_rx, noise_sense, bi_single, gain,
-                    bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
-                ))
-            return results
-
-        return row
-
-    return at_elements
+    return row

@@ -1,12 +1,12 @@
 """Grid evaluation over transmit power and antenna-element count, result
 table assembly, and deterministic CSV emission.
 
-Evaluation has three stages: terms that depend only on the scenario are
+Evaluation has two stages: terms that depend only on the scenario are
 computed once per sweep (by ``linkbudget.link_stage`` and
-``performance.performance_stage``), the array gain once per element count,
-and a row evaluates one element count over the whole power axis, one loop
-per layer. Rows run over the sorted axes, so the table is built in its
-canonical (n_elements, tx_power) order whatever the axis order.
+``performance.performance_stage``), and a row evaluates one element count
+over the whole power axis, its array gain first and then one loop per layer.
+Rows run over the sorted axes, so the table is built in its canonical
+(n_elements, tx_power) order whatever the axis order.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from operator import attrgetter
 from . import constants, linkbudget, performance, waveform
 from ._version import __version__
 from .errors import DomainError
-from .linkbudget import LinkResult, Scenario, typed_value
+from .linkbudget import LinkResult, Scenario, check_printable, typed_value
 from .performance import PerformanceResult
 
 CSV_COLUMNS = (
@@ -83,6 +83,7 @@ class SweepSpec:
         for n in self.element_axis:
             if n < 1:
                 raise DomainError("element_axis values must be >= 1")
+            check_printable("element_axis values", n)
         for name in ("power_axis_dbw", "element_axis"):
             axis = getattr(self, name)
             if len(set(axis)) != len(axis):
@@ -155,27 +156,22 @@ _COMM_SNR = attrgetter("comm_snr_db")
 
 def _point_stage(s: Scenario, mode: Mode):
     """Scenario stage: the link and performance stages, once per scenario;
-    returns the element stage, n_elements -> (tx_power_dbws -> [SweepRow]),
-    whose row stage runs one loop per layer over the powers it is given."""
+    returns the row, (n_elements, tx_power_dbws) -> [SweepRow]: the array
+    gain first, then one loop per layer over the powers it is given."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
-    link_stage = linkbudget.link_stage(s, plan, num)
+    link_row = linkbudget.link_stage(s, plan, num)
     brms = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
     performance_row = performance.performance_stage(plan, num, brms, s.detection_threshold_db)
     # the integrated SNR of the radar leg that radar_snrs(mode) reads
     post_snr = attrgetter("mono_snr_integrated_db" if mode is Mode.RADAR_MONOSTATIC else "radar_snr_integrated_db")
 
-    def at_elements(n: int):
-        link_row = link_stage(n)
+    def row(n: int, powers) -> list[SweepRow]:
+        links = link_row(n, powers)
+        perfs = performance_row(map(_COMM_SNR, links), map(post_snr, links))
+        return list(map(SweepRow, powers, repeat(n), links, perfs))
 
-        def row(powers) -> list[SweepRow]:
-            links = link_row(powers)
-            perfs = performance_row(map(_COMM_SNR, links), map(post_snr, links))
-            return list(map(SweepRow, powers, repeat(n), links, perfs))
-
-        return row
-
-    return at_elements
+    return row
 
 
 def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
@@ -183,7 +179,7 @@ def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, Performan
     geometry -> waveform -> link budget -> performance, fully deterministic.
     A ``mode`` that is not a Mode member is a DomainError naming ``mode``."""
     mode = typed_value("mode", Mode, mode)
-    (row,) = _point_stage(s, mode)(s.n_elements)((s.tx_power_dbw,))
+    (row,) = _point_stage(s, mode)(s.n_elements, (s.tx_power_dbw,))
     return row.link, row.perf
 
 
@@ -195,20 +191,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     table is built in canonical order and does not depend on axis order.
     A DomainError names the first failing point in axis order, as if the
     points ran one by one in that order: the scenario stage fails where the
-    first point would, and an array-gain error names its row's first point.
+    first point would, and an array-gain error fails a row at its first point.
     ``workers`` is accepted and does not change the result."""
     n, p = spec.element_axis[0], spec.power_axis_dbw[0]
     try:
-        at_elements = _point_stage(spec.base, spec.mode)
+        row = _point_stage(spec.base, spec.mode)
         try:
             powers = sorted(spec.power_axis_dbw)
-            rows = [row for n in sorted(spec.element_axis) for row in at_elements(n)(powers)]
+            rows = [r for n in sorted(spec.element_axis) for r in row(n, powers)]
         except DomainError:  # attribution pass: the same stages, one point per row, in axis order
             for n in spec.element_axis:
-                p = spec.power_axis_dbw[0]  # an array-gain error names the row's first point
-                row = at_elements(n)
                 for p in spec.power_axis_dbw:
-                    row((p,))
+                    row(n, (p,))
             raise
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None

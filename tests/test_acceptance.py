@@ -99,7 +99,7 @@ def test_criterion_6_monostatic_infeasibility():
 
     g_tx = array_gain_db(base.tx_gain_ref_dbi, base.n_elements, base.n_elements_ref, base.array_gain_model)
     matched = replace(base, rx_gain_sense_dbi=g_tx)
-    link = link_stage(matched, plan, num)(matched.n_elements)((matched.tx_power_dbw,))[0]
+    link = link_stage(matched, plan, num)(matched.n_elements, (matched.tx_power_dbw,))[0]
     bi, mono = link.radar_snr_integrated_db, link.mono_snr_integrated_db
     assert bi - mono == pytest.approx(33.81, abs=0.01)
 

@@ -127,7 +127,8 @@ class TestRunSweep:
 
     # A point error inside a row names that point, not the row's first one:
     # 2915 dBW overflows the delay bound only at 4 elements and -3076 dBW
-    # the range error only at 1; an array-gain error names the row's count.
+    # the range error only at 1; an array-gain error names the row's count
+    # and its first power in axis order, not in sorted order.
     # The error names the first failing point in axis order, also where the
     # sorted grid fails first elsewhere: at (1, -4000) for the reversed
     # axes, and, with uncompensated Doppler, at 4000 dBW, whose ICI penalty
@@ -141,6 +142,7 @@ class TestRunSweep:
             ((1.0, 2915.0), (1, 4), (4, 2915.0), Scenario()),
             ((1.0, -3076.0), (4, 1), (1, -3076.0), Scenario()),
             ((1.0, 2.0), (1, 10**400), (10**400, 1.0), Scenario()),
+            ((2.0, 1.0), (1, 10**400), (10**400, 2.0), Scenario()),
             ((2915.0, 1.0, -4000.0), (4, 1), (4, 2915.0), Scenario()),
             ((-4000.0, 4000.0), (1,), (1, -4000.0), Scenario(doppler_precompensated=False)),
         ],
@@ -184,6 +186,19 @@ class TestRunSweep:
     def test_wrong_axis_type_named_in_error(self, field, values):
         with pytest.raises(DomainError, match=f"^{field} (values )?must be "):
             SweepSpec(**{field: values})
+
+    # An int too long for Python to print would fail the fingerprint or the
+    # grid-point message; it is rejected before evaluation, by field name.
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("n_elements", lambda: SweepSpec(base=Scenario(n_elements=10**5000))),
+            ("element_axis values", lambda: SweepSpec(element_axis=(10**5000,))),
+        ],
+    )
+    def test_unprintable_counts_named_in_error(self, field, build):
+        with pytest.raises(DomainError, match=f"^{field} must be within Python's integer-to-text digit limit$"):
+            run_sweep(build())
 
     def test_int_powers_are_stored_as_floats(self):
         spec = SweepSpec(power_axis_dbw=(3, -7, 0.5))
