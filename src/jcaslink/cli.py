@@ -54,10 +54,9 @@ def _cmd_sweep(args) -> int:
     table = run_sweep(spec, workers=args.workers)
     emit_csv(table, args.out)
 
-    rates = [row.perf.shannon_rate_bps for row in table.rows]
-    rmses = [row.perf.range_rmse_m for row in table.rows]
+    rates, rmses = table.perf["shannon_rate_bps"], table.perf["range_rmse_m"]
     print(
-        f"wrote {len(table.rows)} rows to {args.out}; "
+        f"wrote {len(rates)} rows to {args.out}; "
         f"shannon_rate_bps min={min(rates):.6g} max={max(rates):.6g}; "
         f"range_rmse_m min={min(rmses):.6g} max={max(rmses):.6g}"
     )

@@ -4,8 +4,9 @@ radar SNR budgets with the Doppler ICI penalty and coherent integration gain.
 
 ``link_stage`` is the one budget path, in two stages. It computes once per
 scenario every term that depends neither on transmit power nor on element
-count and returns the row, (n_elements, tx_power_dbws) -> [LinkResult], which
-adds the array gain once and then runs one loop over the power axis.
+count and returns the grid, (elements, powers) -> {LinkResult field: column},
+which computes the array gain of each element count and then each SNR column
+over every point of the grid, n-major.
 
 Everything works in dB on top of SI quantities. Transmit power is spread
 uniformly over all subcarriers, so the sensing leg carries the sensing
@@ -246,9 +247,12 @@ def radar_terms(s: Scenario, plan: SubcarrierPlan) -> RadarTerms:
     """The RadarTerms of ``s``; a radar budget needs at least one sensing tone."""
     if plan.n_sense < 1:
         raise DomainError("radar budget needs n_sense >= 1")
+    wavelength_m = SPEED_OF_LIGHT / s.carrier_hz
+    if wavelength_m == math.inf:
+        raise DomainError("c / carrier_hz overflows the floating-point range")
     return RadarTerms(
         10.0 * math.log10(plan.sense_fraction),
-        20.0 * math.log10(SPEED_OF_LIGHT / s.carrier_hz),
+        20.0 * math.log10(wavelength_m),
         10.0 * math.log10(s.rcs_m2),
         20.0 * math.log10(s.d_sat_target_km * 1000.0),
         20.0 * math.log10(s.d_target_rx_km * 1000.0),
@@ -267,10 +271,11 @@ def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float,
 
 def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     """Scenario stage of the budget: evaluate once every term that depends
-    neither on transmit power nor on element count, then return the row,
-    (n_elements, tx_power_dbws) -> [LinkResult], array gain first. Each radar
-    budget adds its terms in the RadarTerms order, R2 being the target-receiver
-    leg (bistatic) or R1 again (monostatic), then subtracts the sensing noise."""
+    neither on transmit power nor on element count, then return the grid,
+    (elements, powers) -> {LinkResult field: column over every (n, p), n-major},
+    array gains first. Each radar budget adds its terms in the RadarTerms
+    order, R2 being the target-receiver leg (bistatic) or R1 again
+    (monostatic), then subtracts the sensing noise."""
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
@@ -281,29 +286,27 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
-    spacing = num.subcarrier_spacing_hz
+    ici, spacing = performance.ici_effective_snr_db, num.subcarrier_spacing_hz
 
-    def row(n: int, powers) -> list[LinkResult]:
-        g_tx = array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model)
-        results = []
-        for p in powers:
-            comm_snr = p + g_tx + comm_rx_gain - fspl - noise_comm
-            radiated = p + sense_fraction + g_tx
-            radar_rx = (
-                radiated + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range
-            )
-            bi_single = radar_rx - noise_sense
-            mono_single = (
-                radiated + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range
-            ) - noise_sense
-            if applied_doppler_hz:
-                comm_snr = performance.ici_effective_snr_db(comm_snr, applied_doppler_hz, spacing)
-                bi_single = performance.ici_effective_snr_db(bi_single, applied_doppler_hz, spacing)
-                mono_single = performance.ici_effective_snr_db(mono_single, applied_doppler_hz, spacing)
-            results.append(LinkResult(
-                fspl, noise_comm, comm_snr, radar_rx, noise_sense, bi_single, gain,
-                bi_single + gain, mono_single, mono_single + gain, implied_alt_km,
-            ))
-        return results
+    def grid(elements, powers) -> dict[str, list]:
+        gains = [array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model) for n in elements]
+        comm = [p + g_tx + comm_rx_gain - fspl - noise_comm for g_tx in gains for p in powers]
+        radiated = [p + sense_fraction + g_tx for g_tx in gains for p in powers]
+        radar_rx = [r + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range for r in radiated]
+        bi = [rx - noise_sense for rx in radar_rx]
+        mono = [
+            r + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range - noise_sense
+            for r, g_tx in zip(radiated, [g_tx for g_tx in gains for _ in powers])
+        ]
+        if applied_doppler_hz:  # column by column: comm, then bistatic, then monostatic
+            comm, bi, mono = ([ici(snr, applied_doppler_hz, spacing) for snr in c] for c in (comm, bi, mono))
+        size = len(comm)
+        return dict(  # in LinkResult field order
+            fspl_comm_db=[fspl] * size, noise_comm_dbw=[noise_comm] * size, comm_snr_db=comm,
+            radar_rx_power_dbw=radar_rx, noise_sense_dbw=[noise_sense] * size, radar_snr_single_db=bi,
+            integration_gain_db=[gain] * size, radar_snr_integrated_db=[snr + gain for snr in bi],
+            mono_snr_single_db=mono, mono_snr_integrated_db=[snr + gain for snr in mono],
+            implied_altitude_diag_km=[implied_alt_km] * size,
+        )
 
-    return row
+    return grid

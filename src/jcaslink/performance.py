@@ -2,6 +2,9 @@
 bistatic-range estimation error via the delay estimation bound, and a
 detection feasibility verdict.
 
+``performance_stage`` is the one mapping path; its grid maps a sweep's SNR
+columns to result columns, each check over its whole column before the next.
+
 The range mean-square error is the minimum-variance bound of an unbiased
 delay estimator mapped through the speed of light, i.e. the error floor an
 efficient estimator approaches; it is a modeling proxy, not a simulated
@@ -35,12 +38,12 @@ class PerformanceResult:
 def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_hz: float, threshold_db: float):
     """Scenario stage of the performance mapping: 8 pi^2 Brms^2, the rate
     prefactor data_fraction * cp_overhead * B and the QPSK cap n_data * 2 /
-    t_symbol, once. Returns the row stage, (comm_snrs, post_snrs) ->
-    [PerformanceResult], which maps each pair to the Shannon rate
-    prefactor log2(1 + snr) and its cap, the delay variance
-    1 / (8 pi^2 Brms^2 post_snr), the bistatic range error c^2 variance and
-    the feasibility verdict post_snr >= threshold (inclusive). A point's
-    checks run in that order: delay, range, rate, feasibility."""
+    t_symbol, once. Returns the grid, (comm_snrs, post_snrs) ->
+    {PerformanceResult field: column}: the Shannon rate prefactor
+    log2(1 + snr) and its cap, the delay variance 1 / (8 pi^2 Brms^2
+    post_snr), the bistatic range error c^2 variance and the verdict
+    post_snr >= threshold (inclusive), checked in that order, delay, range,
+    rate, feasibility, each over its whole column before the next one."""
     if rms_bandwidth_hz <= 0:
         raise DomainError("rms_bandwidth_hz must be > 0")
     scale = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz
@@ -51,40 +54,38 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
         qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
     except OverflowError:
         raise DomainError("n_data * 2 bits is past the floating-point range") from None
-    threshold_finite = math.isfinite(threshold_db)  # checked per point, after the point's own checks
     isfinite, log2, sqrt, inf = math.isfinite, math.log2, math.sqrt, math.inf
 
-    def row(comm_snrs, post_snrs) -> list[PerformanceResult]:
-        results = []
-        for comm_snr, post_snr in zip(comm_snrs, post_snrs):
-            if not isfinite(post_snr):
-                raise DomainError("post_snr_db must be finite")
-            try:
-                information = scale * 10.0 ** (post_snr / 10.0)
-            except OverflowError:
-                raise DomainError(f"{post_snr!r} dB overflows the linear scale") from None
-            if information == 0.0:
-                raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
-            if information == inf:
-                raise DomainError(_INFORMATION_OVERFLOWS)
-            variance = 1.0 / information
-            mse = _C_SQ * variance
-            if mse == inf:
-                raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
-            if not isfinite(comm_snr):
-                raise DomainError("snr_db must be finite")
-            try:
-                shannon = prefactor * log2(1.0 + 10.0 ** (comm_snr / 10.0))
-            except OverflowError:
-                raise DomainError(f"{comm_snr!r} dB overflows the linear scale") from None
-            if not threshold_finite:
-                raise DomainError("post_snr_db and threshold_db must be finite")
-            results.append(PerformanceResult(
-                shannon, min(shannon, qpsk_cap), variance, mse, sqrt(mse), post_snr >= threshold_db
-            ))
-        return results
+    def grid(comm_snrs, post_snrs) -> dict[str, list]:
+        if not all(map(isfinite, post_snrs)):
+            raise DomainError("post_snr_db must be finite")
+        try:  # ``db`` holds the value being converted, so an overflow names it
+            information = [scale * 10.0 ** ((db := snr) / 10.0) for snr in post_snrs]
+        except OverflowError:
+            raise DomainError(f"{db!r} dB overflows the linear scale") from None
+        if 0.0 in information:
+            raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
+        if inf in information:
+            raise DomainError(_INFORMATION_OVERFLOWS)
+        variance = [1.0 / x for x in information]
+        mse = [_C_SQ * v for v in variance]
+        if inf in mse:
+            raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
+        if not all(map(isfinite, comm_snrs)):
+            raise DomainError("snr_db must be finite")
+        try:
+            shannon = [prefactor * log2(1.0 + 10.0 ** ((db := snr) / 10.0)) for snr in comm_snrs]
+        except OverflowError:
+            raise DomainError(f"{db!r} dB overflows the linear scale") from None
+        if not isfinite(threshold_db):
+            raise DomainError("post_snr_db and threshold_db must be finite")
+        capped = [qpsk_cap if qpsk_cap < rate else rate for rate in shannon]  # min(rate, qpsk_cap)
+        return dict(  # in PerformanceResult field order
+            shannon_rate_bps=shannon, qpsk_capped_rate_bps=capped, delay_variance_s2=variance, range_mse_m2=mse,
+            range_rmse_m=list(map(sqrt, mse)), detection_feasible=[snr >= threshold_db for snr in post_snrs],
+        )
 
-    return row
+    return grid
 
 
 def _sinc(x: float) -> float:

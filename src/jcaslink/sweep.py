@@ -3,17 +3,19 @@ table assembly, and deterministic CSV emission.
 
 Evaluation has two stages: terms that depend only on the scenario are
 computed once per sweep (by ``linkbudget.link_stage`` and
-``performance.performance_stage``), and a row evaluates one element count
-over the whole power axis, its array gain first and then one loop per layer.
-Rows run over the sorted axes, so the table is built in its canonical
-(n_elements, tx_power) order whatever the axis order.
+``performance.performance_stage``), and the grid stage evaluates the whole
+grid in one pass, the array gain of each element count first and then one
+column per quantity. The grid runs over the sorted axes, so its columns are
+in the canonical (n_elements, tx_power) order whatever the axis order. The
+table keeps the columns: ``emit_csv`` formats straight from them, and the
+per-point records are built on the first read of ``ResultTable.rows``.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
 from math import isfinite
 from operator import attrgetter
 
@@ -100,8 +102,20 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ResultTable:
-    rows: tuple[SweepRow, ...]
+    """A sweep's results as columns over the grid of the sorted axes, n-major."""
+
+    elements: tuple[int, ...]
+    powers: tuple[float, ...]
+    link: dict  # LinkResult field -> column
+    perf: dict  # PerformanceResult field -> column
     metadata: dict
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One SweepRow per point, in column order; built on first read."""
+        counts = [n for n in self.elements for _ in self.powers]
+        links, perfs = map(LinkResult, *self.link.values()), map(PerformanceResult, *self.perf.values())
+        return tuple(map(SweepRow, self.powers * len(self.elements), counts, links, perfs))
 
 
 # The pinned constants, in the order the CSV metadata lists them.
@@ -143,66 +157,55 @@ def scenario_fingerprint(s: Scenario) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def radar_snrs(mode: Mode):
-    """LinkResult -> (single, integrated) sensing SNR of the mode's radar
-    configuration; choose it once per sweep, not per point."""
-    if mode is Mode.RADAR_MONOSTATIC:
-        return attrgetter("mono_snr_single_db", "mono_snr_integrated_db")
-    return attrgetter("radar_snr_single_db", "radar_snr_integrated_db")
+# The (single, integrated) SNR columns of the radar leg that drives each mode's outputs.
+_RADAR_SNRS = dict.fromkeys(Mode, ("radar_snr_single_db", "radar_snr_integrated_db"))
+_RADAR_SNRS[Mode.RADAR_MONOSTATIC] = ("mono_snr_single_db", "mono_snr_integrated_db")
 
 
-_COMM_SNR = attrgetter("comm_snr_db")
-
-
-def _point_stage(s: Scenario, mode: Mode):
-    """Scenario stage: the link and performance stages, once per scenario;
-    returns the row, (n_elements, tx_power_dbws) -> [SweepRow]: the array
-    gain first, then one loop per layer over the powers it is given."""
+def _grid_stage(s: Scenario, mode: Mode):
+    """Scenario stage: the link and performance stages, once per scenario; returns
+    the grid, (elements, powers) -> (link columns, performance columns), n-major."""
     num = waveform.numerology(s.bandwidth_hz, s.n_subcarriers, s.n_cp)
     plan = waveform.partition(s.n_subcarriers, s.n_data, s.n_sense)
-    link_row = linkbudget.link_stage(s, plan, num)
+    link_grid = linkbudget.link_stage(s, plan, num)
     brms = waveform.sensing_rms_bandwidth(plan, num, s.tone_placement)
-    performance_row = performance.performance_stage(plan, num, brms, s.detection_threshold_db)
-    # the integrated SNR of the radar leg that radar_snrs(mode) reads
-    post_snr = attrgetter("mono_snr_integrated_db" if mode is Mode.RADAR_MONOSTATIC else "radar_snr_integrated_db")
+    performance_grid = performance.performance_stage(plan, num, brms, s.detection_threshold_db)
+    _, post_snr = _RADAR_SNRS[mode]
 
-    def row(n: int, powers) -> list[SweepRow]:
-        links = link_row(n, powers)
-        perfs = performance_row(map(_COMM_SNR, links), map(post_snr, links))
-        return list(map(SweepRow, powers, repeat(n), links, perfs))
+    def grid(elements, powers) -> tuple[dict, dict]:
+        link = link_grid(elements, powers)
+        return link, performance_grid(link["comm_snr_db"], link[post_snr])
 
-    return row
+    return grid
 
 
 def run_point(s: Scenario, mode: Mode = Mode.ALL) -> tuple[LinkResult, PerformanceResult]:
-    """Evaluate one scenario point end to end, as the 1 x 1 row of run_sweep:
+    """Evaluate one scenario point end to end, as the 1 x 1 grid of run_sweep:
     geometry -> waveform -> link budget -> performance, fully deterministic.
     A ``mode`` that is not a Mode member is a DomainError naming ``mode``."""
     mode = typed_value("mode", Mode, mode)
-    (row,) = _point_stage(s, mode)(s.n_elements, (s.tx_power_dbw,))
-    return row.link, row.perf
+    link, perf = _grid_stage(s, mode)((s.n_elements,), (s.tx_power_dbw,))
+    return next(map(LinkResult, *link.values())), next(map(PerformanceResult, *perf.values()))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
-    """Evaluate the full power x elements grid into a ResultTable sorted by
-    (n_elements, tx_power_dbw).
+    """Evaluate the full power x elements grid, in one pass over the sorted
+    axes, into a ResultTable in (n_elements, tx_power_dbw) order.
 
-    Rows run one element count at a time over the sorted power axis, so the
-    table is built in canonical order and does not depend on axis order.
     A DomainError names the first failing point in axis order, as if the
     points ran one by one in that order: the scenario stage fails where the
-    first point would, and an array-gain error fails a row at its first point.
-    ``workers`` is accepted and does not change the result."""
+    first point would, and a failed grid runs again as one 1 x 1 grid per
+    point, in axis order. ``workers`` is accepted and changes nothing."""
     n, p = spec.element_axis[0], spec.power_axis_dbw[0]
     try:
-        row = _point_stage(spec.base, spec.mode)
+        grid = _grid_stage(spec.base, spec.mode)
+        elements, powers = tuple(sorted(spec.element_axis)), tuple(sorted(spec.power_axis_dbw))
         try:
-            powers = sorted(spec.power_axis_dbw)
-            rows = [r for n in sorted(spec.element_axis) for r in row(n, powers)]
-        except DomainError:  # attribution pass: the same stages, one point per row, in axis order
+            link, perf = grid(elements, powers)
+        except DomainError:  # attribution pass: the same stages, one point per grid, in axis order
             for n in spec.element_axis:
                 for p in spec.power_axis_dbw:
-                    row(n, (p,))
+                    grid((n,), (p,))
             raise
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
@@ -212,7 +215,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
         "constants": _CONSTANTS_METADATA,
         "mode": spec.mode.value,
     }
-    return ResultTable(rows=tuple(rows), metadata=metadata)
+    return ResultTable(elements, powers, link, perf, metadata)
 
 
 FLOAT_SPEC = ".9g"  # format spec of every float cell and ledger value
@@ -235,24 +238,21 @@ _ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
 
 def emit_csv(table: ResultTable, destination: str | os.PathLike) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
-    row, floats at 9 significant digits. Re-emission is byte-identical.
-    Each row is one %-format whose seven float cells take FLOAT_SPEC; each
-    distinct axis value goes through format_value once."""
+    point, floats at 9 significant digits. Re-emission is byte-identical.
+    Each line is one %-format of the table's columns whose seven float cells
+    take FLOAT_SPEC; each axis value goes through format_value once."""
     mode = Mode(table.metadata["mode"])
-    snrs = radar_snrs(mode)
-    elements = {n: format_value(n) for n in {row.n_elements for row in table.rows}}
-    powers = {p: format_value(p) for p in {row.tx_power_dbw for row in table.rows}}
+    link, perf = table.link, table.perf
+    single, integrated = _RADAR_SNRS[mode]
+    powers = [format_value(p) for p in table.powers]
     tails = {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)}
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
-    for row in table.rows:
-        link, perf = row.link, row.perf
-        single, integrated = snrs(link)
-        lines.append(_ROW_FORMAT % (
-            elements[row.n_elements], powers[row.tx_power_dbw], link.comm_snr_db,
-            perf.shannon_rate_bps, perf.qpsk_capped_rate_bps, single, integrated,
-            perf.range_mse_m2, perf.range_rmse_m, tails[perf.detection_feasible],
-        ))
+    lines += map(_ROW_FORMAT.__mod__, zip(
+        [cell for cell in map(format_value, table.elements) for _ in powers], powers * len(table.elements),
+        link["comm_snr_db"], perf["shannon_rate_bps"], perf["qpsk_capped_rate_bps"], link[single], link[integrated],
+        perf["range_mse_m2"], perf["range_rmse_m"], map(tails.__getitem__, perf["detection_feasible"]),
+    ))
     try:
         with open(destination, "w", encoding="utf-8") as out:
             out.write("\n".join(lines) + "\n")

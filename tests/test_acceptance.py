@@ -99,8 +99,8 @@ def test_criterion_6_monostatic_infeasibility():
 
     g_tx = array_gain_db(base.tx_gain_ref_dbi, base.n_elements, base.n_elements_ref, base.array_gain_model)
     matched = replace(base, rx_gain_sense_dbi=g_tx)
-    link = link_stage(matched, plan, num)(matched.n_elements, (matched.tx_power_dbw,))[0]
-    bi, mono = link.radar_snr_integrated_db, link.mono_snr_integrated_db
+    link = link_stage(matched, plan, num)((matched.n_elements,), (matched.tx_power_dbw,))
+    bi, mono = link["radar_snr_integrated_db"][0], link["mono_snr_integrated_db"][0]
     assert bi - mono == pytest.approx(33.81, abs=0.01)
 
     mono_table = run_sweep(SweepSpec(mode=Mode.RADAR_MONOSTATIC))
@@ -136,7 +136,7 @@ def test_criterion_8_delay_bound_properties():
     num = numerology(1e8, 1024, 72)
 
     def delay_variance(brms, post_snr_db):
-        return performance_stage(plan, num, brms, 10.0)((0.0,), (post_snr_db,))[0].delay_variance_s2
+        return performance_stage(plan, num, brms, 10.0)((0.0,), (post_snr_db,))["delay_variance_s2"][0]
 
     for snr in (-10.0, 0.0, 12.5, 30.0):
         assert delay_variance(28.87e6, snr + 10.0) == pytest.approx(

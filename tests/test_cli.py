@@ -76,6 +76,7 @@ class TestSimulate:
             "tx_power_dbw=-4000",
             "carrier_hz=1e308",
             "carrier_hz=1e308 doppler_precompensated=false",
+            "carrier_hz=1e-300",
             "noise_temp_k=1e-310",
             "bandwidth_hz=1e-320",
             "d_sat_user_km=1e-300 carrier_hz=1e-20",

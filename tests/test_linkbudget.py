@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import (
     ArrayGainModel,
+    LinkResult,
     Scenario,
     array_gain_db,
     fspl_db,
@@ -15,13 +17,19 @@ from jcaslink.linkbudget import (
     noise_power_dbw,
     radar_terms,
 )
-from jcaslink.sweep import Mode, radar_snrs, run_point
+from jcaslink.sweep import run_point
 from jcaslink.waveform import numerology, partition
 
 DB_TOL = 1e-9
 # LinkResult -> (single-symbol, integrated) SNR of each sensing leg
-BISTATIC = radar_snrs(Mode.RADAR_BISTATIC)
-MONOSTATIC = radar_snrs(Mode.RADAR_MONOSTATIC)
+BISTATIC = attrgetter("radar_snr_single_db", "radar_snr_integrated_db")
+MONOSTATIC = attrgetter("mono_snr_single_db", "mono_snr_integrated_db")
+
+
+def point(grid, n, p):
+    """The LinkResult of the 1 x 1 grid (n, p) of a link_stage grid."""
+    (link,) = map(LinkResult, *grid((n,), (p,)).values())
+    return link
 
 
 @pytest.fixture
@@ -116,6 +124,11 @@ class TestRadarTerms:
         with pytest.raises(DomainError, match="^radar budget needs n_sense >= 1$"):
             radar_terms(ref, partition(1024, 800, 0))
 
+    def test_wavelength_overflow_named(self, ref_plan):
+        # c / 1e-300 Hz is past the largest double, so the wavelength term would be inf
+        with pytest.raises(DomainError, match="^c / carrier_hz overflows the floating-point range$"):
+            radar_terms(Scenario(carrier_hz=1e-300), ref_plan)
+
     def test_one_sensing_tone_suffices(self, ref):
         terms = radar_terms(ref, partition(1024, 800, 1))
         assert terms.sense_fraction_db == pytest.approx(10.0 * math.log10(1 / 1024), abs=DB_TOL)
@@ -205,26 +218,27 @@ class TestCommSnr:
 
 class TestBistaticRadarSnr:
     def test_reference_budget_at_9dbw(self, ref, ref_plan, ref_num):
-        single, integrated = BISTATIC(link_stage(ref, ref_plan, ref_num)(1, (9.0,))[0])
+        single, integrated = BISTATIC(point(link_stage(ref, ref_plan, ref_num), 1, 9.0))
         assert single == pytest.approx(-41.22083464461156, abs=0.1)
         assert integrated == pytest.approx(3.1522306686311765, abs=0.1)
         # coherent gain over 27372 symbols
         assert integrated - single == pytest.approx(44.37306531324273, abs=DB_TOL)
 
     def test_rcs_quadrupling_adds_six_db(self, ref, ref_plan, ref_num):
-        _, base = BISTATIC(link_stage(ref, ref_plan, ref_num)(1, (9.0,))[0])
-        _, big = BISTATIC(link_stage(replace(ref, rcs_m2=400.0), ref_plan, ref_num)(1, (9.0,))[0])
+        _, base = BISTATIC(point(link_stage(ref, ref_plan, ref_num), 1, 9.0))
+        _, big = BISTATIC(point(link_stage(replace(ref, rcs_m2=400.0), ref_plan, ref_num), 1, 9.0))
         assert big - base == pytest.approx(6.0205999132796239, abs=DB_TOL)
 
     def test_zero_integration_window_rejected(self, ref, ref_plan, ref_num):
         with pytest.raises(DomainError, match="zero symbols"):
-            link_stage(replace(ref, t_integration_s=0.0), ref_plan, ref_num)(1, (9.0,))[0]
+            point(link_stage(replace(ref, t_integration_s=0.0), ref_plan, ref_num), 1, 9.0)
 
     def test_db_additivity_in_power(self, ref, ref_plan, ref_num):
         # every SNR output shifts by exactly the transmit-power shift
-        row = link_stage(ref, ref_plan, ref_num)
+        grid = link_stage(ref, ref_plan, ref_num)
         for delta in (0.5, 3.0, 7.0):
-            link, link2 = row(ref.n_elements, (ref.tx_power_dbw,))[0], row(ref.n_elements, (ref.tx_power_dbw + delta,))[0]
+            link = point(grid, ref.n_elements, ref.tx_power_dbw)
+            link2 = point(grid, ref.n_elements, ref.tx_power_dbw + delta)
             assert link2.comm_snr_db - link.comm_snr_db == pytest.approx(delta, abs=DB_TOL)
             for op in (BISTATIC, MONOSTATIC):
                 a = op(link)
@@ -234,12 +248,12 @@ class TestBistaticRadarSnr:
 
     def test_strictly_decreasing_in_each_leg(self, ref, ref_plan, ref_num):
         by_target = [
-            link_stage(replace(ref, d_sat_target_km=d), ref_plan, ref_num)(1, (9.0,))[0].radar_snr_integrated_db
+            point(link_stage(replace(ref, d_sat_target_km=d), ref_plan, ref_num), 1, 9.0).radar_snr_integrated_db
             for d in (100.0, 300.0, 490.0, 800.0)
         ]
         assert all(a > b for a, b in zip(by_target, by_target[1:]))
         by_rx = [
-            link_stage(replace(ref, d_target_rx_km=d), ref_plan, ref_num)(1, (9.0,))[0].radar_snr_integrated_db
+            point(link_stage(replace(ref, d_target_rx_km=d), ref_plan, ref_num), 1, 9.0).radar_snr_integrated_db
             for d in (1.0, 10.0, 50.0, 200.0)
         ]
         assert all(a > b for a, b in zip(by_rx, by_rx[1:]))
@@ -247,7 +261,7 @@ class TestBistaticRadarSnr:
 
 class TestMonostaticRadarSnr:
     def test_reference_budget_infeasible_region(self, ref, ref_plan, ref_num):
-        single, integrated = MONOSTATIC(link_stage(ref, ref_plan, ref_num)(1, (9.0,))[0])
+        single, integrated = MONOSTATIC(point(link_stage(ref, ref_plan, ref_num), 1, 9.0))
         assert single == pytest.approx(-85.06475624518185, abs=0.1)
         assert integrated == pytest.approx(-40.69169093193912, abs=0.1)
 
@@ -256,7 +270,7 @@ class TestMonostaticRadarSnr:
         # R1^2 R2^2 vs R^4 spreading terms differ
         g_tx = array_gain_db(ref.tx_gain_ref_dbi, ref.n_elements, ref.n_elements_ref, ref.array_gain_model)
         matched = replace(ref, rx_gain_sense_dbi=g_tx)
-        link = link_stage(matched, ref_plan, ref_num)(1, (9.0,))[0]
+        link = point(link_stage(matched, ref_plan, ref_num), 1, 9.0)
         _, bi = BISTATIC(link)
         _, mono = MONOSTATIC(link)
         assert bi - mono == pytest.approx(33.80392160057028, abs=0.01)
@@ -264,14 +278,14 @@ class TestMonostaticRadarSnr:
     def test_degenerate_geometry_matches_bistatic(self, ref, ref_plan, ref_num):
         g_tx = array_gain_db(ref.tx_gain_ref_dbi, ref.n_elements, ref.n_elements_ref, ref.array_gain_model)
         matched = replace(ref, d_target_rx_km=ref.d_sat_target_km, rx_gain_sense_dbi=g_tx)
-        link = link_stage(matched, ref_plan, ref_num)(1, (9.0,))[0]
+        link = point(link_stage(matched, ref_plan, ref_num), 1, 9.0)
         bi = BISTATIC(link)
         mono = MONOSTATIC(link)
         assert bi[0] == pytest.approx(mono[0], abs=1e-9)
         assert bi[1] == pytest.approx(mono[1], abs=1e-9)
 
     def test_infeasible_at_every_swept_power(self, ref, ref_plan, ref_num):
-        row = link_stage(ref, ref_plan, ref_num)
+        grid = link_stage(ref, ref_plan, ref_num)
         for power in range(1, 10):
-            _, integrated = MONOSTATIC(row(ref.n_elements, (float(power),))[0])
+            _, integrated = MONOSTATIC(point(grid, ref.n_elements, float(power)))
             assert integrated < ref.detection_threshold_db

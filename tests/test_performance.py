@@ -5,7 +5,7 @@ import math
 import pytest
 
 from jcaslink.errors import DomainError
-from jcaslink.performance import ici_effective_snr_db, performance_stage
+from jcaslink.performance import PerformanceResult, ici_effective_snr_db, performance_stage
 from jcaslink.waveform import numerology, partition
 
 REF_SNR_DB = 29.59578550945929  # reference comm budget at 9 dBW
@@ -14,7 +14,7 @@ REF_BRMS_HZ = 28.87e6
 
 @pytest.fixture
 def ref_stage():
-    """(rms_bandwidth_hz, threshold_db) -> row stage at the reference plan and numerology."""
+    """(rms_bandwidth_hz, threshold_db) -> grid stage at the reference plan and numerology."""
     plan, num = partition(1024, 800, 224), numerology(1e8, 1024, 72)
     return lambda brms=REF_BRMS_HZ, threshold_db=10.0: performance_stage(plan, num, brms, threshold_db)
 
@@ -25,7 +25,7 @@ def perf_at(ref_stage):
     RMS bandwidth and detection threshold."""
 
     def at(comm_snr_db=REF_SNR_DB, post_snr_db=0.0, brms=REF_BRMS_HZ, threshold_db=10.0):
-        (result,) = ref_stage(brms, threshold_db)((comm_snr_db,), (post_snr_db,))
+        (result,) = map(PerformanceResult, *ref_stage(brms, threshold_db)((comm_snr_db,), (post_snr_db,)).values())
         return result
 
     return at
@@ -57,7 +57,7 @@ class TestAchievableRate:
 
     def test_strictly_increasing_in_snr(self, ref_stage):
         grid = [-20.0 + i * 2.5 for i in range(25)]
-        rates = [r.shannon_rate_bps for r in ref_stage()(grid, [0.0] * len(grid))]
+        rates = ref_stage()(grid, [0.0] * len(grid))["shannon_rate_bps"]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_nonfinite_snr_rejected(self, perf_at):
@@ -130,6 +130,7 @@ class TestDetectionFeasible:
     "comm_snr_db, post_snr_db, threshold_db, message",
     [
         (math.nan, math.nan, math.inf, "post_snr_db must be finite"),
+        (math.nan, 4000.0, math.inf, "4000.0 dB overflows the linear scale"),
         (math.nan, -4000.0, math.inf, "8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded"),
         (math.nan, -3085.0, math.inf, "c^2 * delay_variance_s2 overflows the floating-point range"),
         (math.nan, 0.0, math.inf, "snr_db must be finite"),
@@ -141,6 +142,14 @@ def test_point_checks_run_in_order(perf_at, comm_snr_db, post_snr_db, threshold_
     with pytest.raises(DomainError) as error:
         perf_at(comm_snr_db, post_snr_db, threshold_db=threshold_db)
     assert str(error.value) == message
+
+
+# A column's overflow message names the value that overflowed, not the
+# column's first value.
+@pytest.mark.parametrize("comm_snrs, post_snrs", [((0.0, 0.0), (1.0, 4000.0)), ((1.0, 4000.0), (0.0, 0.0))])
+def test_column_overflow_names_the_offending_value(ref_stage, comm_snrs, post_snrs):
+    with pytest.raises(DomainError, match=r"^4000\.0 dB overflows the linear scale$"):
+        ref_stage()(comm_snrs, post_snrs)
 
 
 class TestIciPenalty:

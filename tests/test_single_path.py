@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcaslink
-from jcaslink import geometry, linkbudget, performance
+from jcaslink import geometry, linkbudget, performance, sweep
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.sweep import Mode, SweepSpec, run_point, run_sweep
@@ -153,6 +153,7 @@ def test_package_import_loads_no_registry_json_or_pathlib():
         (performance, "detection_feasible"),
         (linkbudget, "radar_budget_db"),
         (geometry, "slant_range"),
+        (sweep, "radar_snrs"),
     ],
 )
 def test_deleted_entry_point_is_gone(module, name):

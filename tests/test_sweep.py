@@ -125,15 +125,17 @@ class TestRunSweep:
         with pytest.raises(DomainError, match=r"n_elements=2, tx_power_dbw=1"):
             run_sweep(spec)
 
-    # A point error inside a row names that point, not the row's first one:
+    # A point error inside the grid names that point, not the grid's first one:
     # 2915 dBW overflows the delay bound only at 4 elements and -3076 dBW
-    # the range error only at 1; an array-gain error names the row's count
-    # and its first power in axis order, not in sorted order.
+    # the range error only at 1; an array-gain error names its element count
+    # and the first power in axis order, not in sorted order.
     # The error names the first failing point in axis order, also where the
     # sorted grid fails first elsewhere: at (1, -4000) for the reversed
     # axes, and, with uncompensated Doppler, at 4000 dBW, whose ICI penalty
     # overflows in the link budget, before the performance mapping rejects
-    # the -inf SNR of -4000 dBW.
+    # the -inf SNR of -4000 dBW. The grid checks one column at a time, so a
+    # 3100 dBi comm gain, whose 3088.7 dB SNR overflows the rate at 1 dBW,
+    # fails the grid only after -4000 dBW has failed the earlier delay check.
     @pytest.mark.parametrize(
         "powers, elements, point, base",
         [
@@ -145,6 +147,7 @@ class TestRunSweep:
             ((2.0, 1.0), (1, 10**400), (10**400, 2.0), Scenario()),
             ((2915.0, 1.0, -4000.0), (4, 1), (4, 2915.0), Scenario()),
             ((-4000.0, 4000.0), (1,), (1, -4000.0), Scenario(doppler_precompensated=False)),
+            ((1.0, -4000.0), (1,), (1, 1.0), Scenario(rx_gain_comm_dbi=3100.0)),
         ],
     )
     def test_point_errors_name_their_own_point(self, powers, elements, point, base):
@@ -228,13 +231,13 @@ class TestRunSweep:
 
         def counted_stage(*args):
             calls["performance_stage"] += 1
-            row = stage(*args)
+            grid = stage(*args)
 
-            def counted_row(*row_args):
-                calls["performance row"] += 1
-                return row(*row_args)
+            def counted_grid(*grid_args):
+                calls["performance grid"] += 1
+                return grid(*grid_args)
 
-            return counted_row
+            return counted_grid
 
         monkeypatch.setattr(performance, "performance_stage", counted_stage)
         spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
@@ -246,8 +249,36 @@ class TestRunSweep:
             "sensing_rms_bandwidth": 1,
             "noise_power_dbw": 2,  # communications band and sensing band
             "performance_stage": 1,
-            "performance row": 40,  # one call per element count, not per point
+            "performance grid": 1,  # one call per sweep, not per element count or point
         }
+
+    # The CSV path keeps the grid as columns: no per-point record is built
+    # until a caller reads table.rows, which builds them all once.
+    def test_csv_path_builds_no_records_until_rows_is_read(self, monkeypatch, tmp_path):
+        built = Counter()
+
+        def counting(record):
+            init = record.__init__
+
+            def counted(self, *args, **kwargs):
+                built[record.__name__] += 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for record in (sweep.SweepRow, linkbudget.LinkResult, performance.PerformanceResult):
+            monkeypatch.setattr(record, "__init__", counting(record))
+        spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
+        table = run_sweep(spec)
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        emit_csv(table, before)
+        assert built == {}
+        rows = table.rows
+        assert built == {"SweepRow": 2000, "LinkResult": 2000, "PerformanceResult": 2000}
+        assert table.rows is rows
+        emit_csv(table, after)
+        assert after.read_bytes() == before.read_bytes()
+        assert built == {"SweepRow": 2000, "LinkResult": 2000, "PerformanceResult": 2000}
 
 
 PINNED_CONSTANTS = {
