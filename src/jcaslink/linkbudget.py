@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
 
-from . import geometry, performance
+from . import geometry
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import DomainError
 from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
@@ -227,6 +227,33 @@ def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
     return 10.0 * math.log10(n)
 
 
+def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: float) -> list[float]:
+    """Effective SNR column under an uncompensated carrier offset.
+
+    The useful subcarrier power scales by sinc^2(fd / spacing) and the lost
+    power reappears as inter-carrier interference:
+
+        sinr = a * snr / (1 + (1 - a) * snr),  a = sinc^2(fd / spacing)
+
+    The spacing check and sinc^2 run once per call, then the linear, SINR
+    and dB columns in turn. With fd = 0 the input SNRs are returned unchanged.
+    """
+    if subcarrier_spacing_hz <= 0:
+        raise DomainError("subcarrier_spacing_hz must be > 0")
+    if doppler_hz == 0.0:
+        return list(snrs_db)
+    px = math.pi * (doppler_hz / subcarrier_spacing_hz)
+    if not math.isfinite(px):
+        raise DomainError("Doppler / subcarrier spacing overflows the floating-point range")
+    a = (math.sin(px) / px) ** 2 if px else 1.0  # fd / spacing can underflow to 0
+    try:  # ``db`` holds the value being converted, so an overflow names it
+        snrs = [10.0 ** ((db := snr) / 10.0) for snr in snrs_db]
+    except OverflowError:
+        raise DomainError(f"{db!r} dB overflows the linear scale") from None
+    sinrs = [a * snr / (1.0 + (1.0 - a) * snr) for snr in snrs]
+    return [-math.inf if sinr == 0.0 else 10.0 * math.log10(sinr) for sinr in sinrs]
+
+
 @dataclass(frozen=True)
 class RadarTerms:
     """The radar-budget terms that depend neither on transmit power nor on
@@ -286,7 +313,6 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
-    ici, spacing = performance.ici_effective_snr_db, num.subcarrier_spacing_hz
 
     def grid(elements, powers) -> dict[str, list]:
         gains = [array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model) for n in elements]
@@ -299,7 +325,9 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
             for r, g_tx in zip(radiated, [g_tx for g_tx in gains for _ in powers])
         ]
         if applied_doppler_hz:  # column by column: comm, then bistatic, then monostatic
-            comm, bi, mono = ([ici(snr, applied_doppler_hz, spacing) for snr in c] for c in (comm, bi, mono))
+            comm, bi, mono = (
+                ici_effective_snr_db(c, applied_doppler_hz, num.subcarrier_spacing_hz) for c in (comm, bi, mono)
+            )
         size = len(comm)
         return dict(  # in LinkResult field order
             fspl_comm_db=[fspl] * size, noise_comm_dbw=[noise_comm] * size, comm_snr_db=comm,

@@ -87,36 +87,3 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
 
     return grid
 
-
-def _sinc(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    px = math.pi * x
-    if not math.isfinite(px):
-        raise DomainError("Doppler / subcarrier spacing overflows the floating-point range")
-    return math.sin(px) / px
-
-
-def ici_effective_snr_db(snr_db: float, doppler_hz: float, subcarrier_spacing_hz: float) -> float:
-    """Effective SNR under an uncompensated carrier offset.
-
-    The useful subcarrier power scales by sinc^2(fd / spacing) and the lost
-    power reappears as inter-carrier interference:
-
-        sinr = a * snr / (1 + (1 - a) * snr),  a = sinc^2(fd / spacing)
-
-    With fd = 0 the input SNR is returned unchanged.
-    """
-    if subcarrier_spacing_hz <= 0:
-        raise DomainError("subcarrier_spacing_hz must be > 0")
-    if doppler_hz == 0.0:
-        return snr_db
-    a = _sinc(doppler_hz / subcarrier_spacing_hz) ** 2
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        raise DomainError(f"{snr_db!r} dB overflows the linear scale") from None
-    sinr = a * snr / (1.0 + (1.0 - a) * snr)
-    if sinr == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(sinr)

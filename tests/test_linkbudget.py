@@ -13,6 +13,7 @@ from jcaslink.linkbudget import (
     Scenario,
     array_gain_db,
     fspl_db,
+    ici_effective_snr_db,
     link_stage,
     noise_power_dbw,
     radar_terms,
@@ -95,6 +96,38 @@ class TestNoisePower:
     def test_domain_errors(self, temp, bw, message):
         with pytest.raises(DomainError, match=f"^{message} must be > 0$"):
             noise_power_dbw(temp, bw)
+
+
+class TestIciPenalty:
+    def test_zero_doppler_is_identity(self):
+        assert ici_effective_snr_db((25.0,), 0.0, 97656.25)[0] == 25.0
+
+    def test_penalty_reduces_snr(self):
+        assert ici_effective_snr_db((25.0,), 10e3, 97656.25)[0] < 25.0
+
+    def test_penalty_grows_with_offset(self):
+        a = ici_effective_snr_db((25.0,), 5e3, 97656.25)[0]
+        b = ici_effective_snr_db((25.0,), 40e3, 97656.25)[0]
+        assert b < a
+
+    def test_interference_floor_at_high_snr(self):
+        # once interference dominates, more transmit power stops helping
+        hi = ici_effective_snr_db((80.0,), 40e3, 97656.25)[0]
+        hi2 = ici_effective_snr_db((100.0,), 40e3, 97656.25)[0]
+        assert hi2 - hi < 0.1
+
+    def test_zero_spacing_rejected(self):
+        with pytest.raises(DomainError, match="^subcarrier_spacing_hz must be > 0$"):
+            ici_effective_snr_db((25.0,), 10e3, 0.0)[0]
+
+    def test_null_offset_is_catastrophic(self):
+        # offset of exactly one subcarrier spacing lands on the sinc null;
+        # float sin(pi) leaves a ~1e-33 residue, so expect a huge penalty
+        assert ici_effective_snr_db((25.0,), 97656.25, 97656.25)[0] < -200.0
+
+    def test_offset_underflowing_to_zero_is_identity(self):
+        # 1e-300 / 1e300 underflows to 0: sinc^2 takes its zero-argument value
+        assert ici_effective_snr_db((25.0,), 1e-300, 1e300)[0] == 25.0
 
 
 class TestArrayGain:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from jcaslink.errors import DomainError
-from jcaslink.performance import PerformanceResult, ici_effective_snr_db, performance_stage
+from jcaslink.performance import PerformanceResult, performance_stage
 from jcaslink.waveform import numerology, partition
 
 REF_SNR_DB = 29.59578550945929  # reference comm budget at 9 dBW
@@ -150,31 +150,3 @@ def test_point_checks_run_in_order(perf_at, comm_snr_db, post_snr_db, threshold_
 def test_column_overflow_names_the_offending_value(ref_stage, comm_snrs, post_snrs):
     with pytest.raises(DomainError, match=r"^4000\.0 dB overflows the linear scale$"):
         ref_stage()(comm_snrs, post_snrs)
-
-
-class TestIciPenalty:
-    def test_zero_doppler_is_identity(self):
-        assert ici_effective_snr_db(25.0, 0.0, 97656.25) == 25.0
-
-    def test_penalty_reduces_snr(self):
-        assert ici_effective_snr_db(25.0, 10e3, 97656.25) < 25.0
-
-    def test_penalty_grows_with_offset(self):
-        a = ici_effective_snr_db(25.0, 5e3, 97656.25)
-        b = ici_effective_snr_db(25.0, 40e3, 97656.25)
-        assert b < a
-
-    def test_interference_floor_at_high_snr(self):
-        # once interference dominates, more transmit power stops helping
-        hi = ici_effective_snr_db(80.0, 40e3, 97656.25)
-        hi2 = ici_effective_snr_db(100.0, 40e3, 97656.25)
-        assert hi2 - hi < 0.1
-
-    def test_zero_spacing_rejected(self):
-        with pytest.raises(DomainError, match="^subcarrier_spacing_hz must be > 0$"):
-            ici_effective_snr_db(25.0, 10e3, 0.0)
-
-    def test_null_offset_is_catastrophic(self):
-        # offset of exactly one subcarrier spacing lands on the sinc null;
-        # float sin(pi) leaves a ~1e-33 residue, so expect a huge penalty
-        assert ici_effective_snr_db(25.0, 97656.25, 97656.25) < -200.0

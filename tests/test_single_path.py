@@ -151,6 +151,7 @@ def test_package_import_loads_no_registry_json_or_pathlib():
         (performance, "delay_stage"),
         (performance, "range_mse"),
         (performance, "detection_feasible"),
+        (performance, "ici_effective_snr_db"),
         (linkbudget, "radar_budget_db"),
         (geometry, "slant_range"),
         (sweep, "radar_snrs"),

@@ -212,7 +212,10 @@ class TestRunSweep:
         assert all(r.perf.detection_feasible is False for r in table.rows)
         assert all(r.perf.range_mse_m2 > 0 for r in table.rows)
 
-    def test_stages_run_once_per_scenario_and_per_element_count(self, monkeypatch):
+    # The ICI penalty runs once per SNR column (communications, bistatic,
+    # monostatic) when Doppler is not precompensated, and not at all when it is.
+    @pytest.mark.parametrize("precompensated,ici_calls", [(True, 0), (False, 3)])
+    def test_stages_run_once_per_scenario_and_per_element_count(self, monkeypatch, precompensated, ici_calls):
         calls = Counter()
 
         def count(module, name):
@@ -224,7 +227,7 @@ class TestRunSweep:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("array_gain_db", "fspl_db", "integration_gain_db", "noise_power_dbw"):
+        for name in ("array_gain_db", "fspl_db", "ici_effective_snr_db", "integration_gain_db", "noise_power_dbw"):
             count(linkbudget, name)
         count(waveform, "sensing_rms_bandwidth")
         stage = performance.performance_stage
@@ -240,17 +243,22 @@ class TestRunSweep:
             return counted_grid
 
         monkeypatch.setattr(performance, "performance_stage", counted_stage)
-        spec = SweepSpec(power_axis_dbw=tuple(i / 2.0 for i in range(50)), element_axis=tuple(range(1, 41)))
+        spec = SweepSpec(
+            base=Scenario(doppler_precompensated=precompensated),
+            power_axis_dbw=tuple(i / 2.0 for i in range(50)),
+            element_axis=tuple(range(1, 41)),
+        )
         assert len(run_sweep(spec).rows) == 2000
-        assert calls == {
+        assert calls == Counter({  # a Counter reads a missing name as 0 calls
             "array_gain_db": 40,
             "fspl_db": 1,
+            "ici_effective_snr_db": ici_calls,
             "integration_gain_db": 1,
             "sensing_rms_bandwidth": 1,
             "noise_power_dbw": 2,  # communications band and sensing band
             "performance_stage": 1,
             "performance grid": 1,  # one call per sweep, not per element count or point
-        }
+        })
 
     # The CSV path keeps the grid as columns: no per-point record is built
     # until a caller reads table.rows, which builds them all once.
