@@ -46,5 +46,8 @@ def doppler_shift(carrier_hz: float, radial_speed_mps: float) -> float:
     """Signed Doppler shift in Hz: f * v / c (positive for closing motion)."""
     if carrier_hz <= 0:
         raise DomainError("carrier_hz must be > 0")
-    return carrier_hz * radial_speed_mps / SPEED_OF_LIGHT
+    shift = carrier_hz * radial_speed_mps / SPEED_OF_LIGHT
+    if math.isinf(shift):
+        raise DomainError("carrier_hz * radial_speed_mps overflows the floating-point range")
+    return shift
 

@@ -186,6 +186,8 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
     ratio = _FOUR_PI * distance_m * freq_hz / SPEED_OF_LIGHT
     if ratio == 0.0:
         raise DomainError("4 pi d f / c underflows to 0")
+    if ratio == math.inf:
+        raise DomainError("4 pi d f / c overflows the floating-point range")
     return 20.0 * math.log10(ratio)
 
 
@@ -198,6 +200,8 @@ def noise_power_dbw(temp_k: float, bandwidth_hz: float) -> float:
     ktb = BOLTZMANN * temp_k * bandwidth_hz
     if ktb == 0.0:
         raise DomainError("k T B underflows to 0")
+    if ktb == math.inf:
+        raise DomainError("k T B overflows the floating-point range")
     return 10.0 * math.log10(ktb)
 
 
@@ -228,16 +232,12 @@ def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
 
 
 def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: float) -> list[float]:
-    """Effective SNR column under an uncompensated carrier offset.
-
-    The useful subcarrier power scales by sinc^2(fd / spacing) and the lost
-    power reappears as inter-carrier interference:
-
-        sinr = a * snr / (1 + (1 - a) * snr),  a = sinc^2(fd / spacing)
-
-    The spacing check and sinc^2 run once per call, then the linear, SINR
-    and dB columns in turn. With fd = 0 the input SNRs are returned unchanged.
-    """
+    """Effective SNR column under an uncompensated carrier offset fd: the
+    useful subcarrier power scales by a = sinc^2(fd / spacing) and the lost
+    power reappears as inter-carrier interference,
+    sinr = a snr / (1 + (1 - a) snr). The spacing check and a run once per
+    call, then the linear, SINR and dB columns in turn. With fd = 0 the input
+    SNRs are returned unchanged."""
     if subcarrier_spacing_hz <= 0:
         raise DomainError("subcarrier_spacing_hz must be > 0")
     if doppler_hz == 0.0:

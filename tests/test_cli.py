@@ -84,6 +84,9 @@ class TestSimulate:
             "bandwidth_hz=1e200",
             "bandwidth_hz=1e200 tx_power_dbw=-4000",
             "tx_power_dbw=-3100",
+            "d_sat_user_km=1e300",
+            "noise_temp_k=1e308 bandwidth_hz=1e30",
+            "carrier_hz=1e308 d_sat_user_km=1e-5 tx_power_dbw=6000",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
             pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
             pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),
@@ -101,6 +104,7 @@ class TestSimulate:
         [
             "bandwidth_hz=3.4e153",
             "n_subcarriers=1000000000 n_data=0 n_sense=1000000000 t_integration_s=60",
+            "carrier_hz=1.7e-300 bandwidth_hz=1e23 tx_power_dbw=-4000 doppler_precompensated=false",
         ],
     )
     def test_extreme_but_representable_input_evaluates(self, capsys, assignment):

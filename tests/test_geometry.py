@@ -101,3 +101,8 @@ class TestDopplerShift:
         with pytest.raises(DomainError):
             doppler_shift(0.0, 100.0)
 
+    @pytest.mark.parametrize("speed", [7600.0, -7600.0])
+    def test_overflowing_shift_rejected(self, speed):
+        with pytest.raises(DomainError, match=r"^carrier_hz \* radial_speed_mps overflows the floating-point range$"):
+            doppler_shift(1e308, speed)
+

@@ -68,12 +68,20 @@ class TestFspl:
 
     # Each check at its boundary, on its own message: with "<=" read as "<",
     # a zero argument would still raise, but through the underflow check.
+    # The product 4 pi d f / c is checked at both ends of the float range.
     @pytest.mark.parametrize(
         "freq,dist,message",
-        [(0.0, 1.0, "freq_hz"), (1e9, 0.0, "distance_m"), (-1e9, 1.0, "freq_hz"), (1e9, -1.0, "distance_m")],
+        [
+            (0.0, 1.0, "freq_hz must be > 0"),
+            (1e9, 0.0, "distance_m must be > 0"),
+            (-1e9, 1.0, "freq_hz must be > 0"),
+            (1e9, -1.0, "distance_m must be > 0"),
+            (1e-300, 1e-300, "4 pi d f / c underflows to 0"),
+            (1e308, 5e5, "4 pi d f / c overflows the floating-point range"),
+        ],
     )
     def test_domain_errors(self, freq, dist, message):
-        with pytest.raises(DomainError, match=f"^{message} must be > 0$"):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             fspl_db(freq, dist)
 
 
@@ -91,10 +99,17 @@ class TestNoisePower:
         assert delta == pytest.approx(10.0, abs=DB_TOL)
 
     @pytest.mark.parametrize(
-        "temp,bw,message", [(0.0, 1e8, "temp_k"), (300.0, 0.0, "bandwidth_hz"), (-10.0, 1e8, "temp_k")]
+        "temp,bw,message",
+        [
+            (0.0, 1e8, "temp_k must be > 0"),
+            (300.0, 0.0, "bandwidth_hz must be > 0"),
+            (-10.0, 1e8, "temp_k must be > 0"),
+            (1e-300, 1e-300, "k T B underflows to 0"),
+            (1e308, 1e308, "k T B overflows the floating-point range"),
+        ],
     )
     def test_domain_errors(self, temp, bw, message):
-        with pytest.raises(DomainError, match=f"^{message} must be > 0$"):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             noise_power_dbw(temp, bw)
 
 
