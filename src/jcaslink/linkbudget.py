@@ -235,9 +235,9 @@ def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: floa
     """Effective SNR column under an uncompensated carrier offset fd: the
     useful subcarrier power scales by a = sinc^2(fd / spacing) and the lost
     power reappears as inter-carrier interference,
-    sinr = a snr / (1 + (1 - a) snr). The spacing check and a run once per
-    call, then the linear, SINR and dB columns in turn. With fd = 0 the input
-    SNRs are returned unchanged."""
+    sinr = a snr / (1 + (1 - a) snr). The spacing check and the factor a run
+    once per call, then the linear, SINR and dB columns in turn. With fd = 0
+    the input SNRs are returned unchanged."""
     if subcarrier_spacing_hz <= 0:
         raise DomainError("subcarrier_spacing_hz must be > 0")
     if doppler_hz == 0.0:
