@@ -254,39 +254,6 @@ def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: floa
     return [-math.inf if sinr == 0.0 else 10.0 * math.log10(sinr) for sinr in sinrs]
 
 
-@dataclass(frozen=True)
-class RadarTerms:
-    """The radar-budget terms that depend neither on transmit power nor on
-    element count, in dB. A budget adds them, not pre-summed, in the order
-    P + 10log10(sf) + G_tx + G_rx + 20log10(lambda) + 10log10(rcs)
-    - 30log10(4 pi) - 20log10(R1) - 20log10(R2), so it gives the same bits
-    whether they were computed once per scenario or at each point."""
-
-    sense_fraction_db: float
-    wavelength_db: float
-    rcs_db: float
-    target_range_db: float  # satellite-target leg
-    rx_range_db: float  # target-receiver leg
-    noise_dbw: float  # sensing-band noise
-
-
-def radar_terms(s: Scenario, plan: SubcarrierPlan) -> RadarTerms:
-    """The RadarTerms of ``s``; a radar budget needs at least one sensing tone."""
-    if plan.n_sense < 1:
-        raise DomainError("radar budget needs n_sense >= 1")
-    wavelength_m = SPEED_OF_LIGHT / s.carrier_hz
-    if wavelength_m == math.inf:
-        raise DomainError("c / carrier_hz overflows the floating-point range")
-    return RadarTerms(
-        10.0 * math.log10(plan.sense_fraction),
-        20.0 * math.log10(wavelength_m),
-        10.0 * math.log10(s.rcs_m2),
-        20.0 * math.log10(s.d_sat_target_km * 1000.0),
-        20.0 * math.log10(s.d_target_rx_km * 1000.0),
-        noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz),
-    )
-
-
 def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
     """(orbital speed m/s, Doppler shift Hz, Doppler left after precompensation
     Hz) of the user link, worst case: the full circular-orbit speed at the
@@ -300,16 +267,25 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     """Scenario stage of the budget: evaluate once every term that depends
     neither on transmit power nor on element count, then return the grid,
     (elements, powers) -> {LinkResult field: column over every (n, p), n-major},
-    array gains first. Each radar budget adds its terms in the RadarTerms
-    order, R2 being the target-receiver leg (bistatic) or R1 again
-    (monostatic), then subtracts the sensing noise."""
+    array gains first. A radar budget needs a sensing tone and adds its terms,
+    not pre-summed, in the order P + 10log10(sf) + G_tx + G_rx + 20log10(lambda)
+    + 10log10(rcs) - 30log10(4 pi) - 20log10(R1) - 20log10(R2) - N_sense, with
+    R2 the target-receiver leg (bistatic) or R1 again (monostatic)."""
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
     comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
-    radar = radar_terms(s, plan)
-    sense_fraction, wavelength, rcs = radar.sense_fraction_db, radar.wavelength_db, radar.rcs_db
-    target_range, rx_range, noise_sense = radar.target_range_db, radar.rx_range_db, radar.noise_dbw
+    if plan.n_sense < 1:
+        raise DomainError("radar budget needs n_sense >= 1")
+    wavelength_m = SPEED_OF_LIGHT / s.carrier_hz
+    if wavelength_m == math.inf:
+        raise DomainError("c / carrier_hz overflows the floating-point range")
+    sense_fraction = 10.0 * math.log10(plan.sense_fraction)
+    wavelength = 20.0 * math.log10(wavelength_m)
+    rcs = 10.0 * math.log10(s.rcs_m2)
+    target_range = 20.0 * math.log10(s.d_sat_target_km * 1000.0)  # R1, satellite-target leg
+    rx_range = 20.0 * math.log10(s.d_target_rx_km * 1000.0)  # R2, target-receiver leg
+    noise_sense = noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)

@@ -16,7 +16,6 @@ from jcaslink.linkbudget import (
     ici_effective_snr_db,
     link_stage,
     noise_power_dbw,
-    radar_terms,
 )
 from jcaslink.sweep import run_point
 from jcaslink.waveform import numerology, partition
@@ -168,18 +167,21 @@ class TestArrayGain:
 
 
 class TestRadarTerms:
-    def test_needs_one_sensing_tone(self, ref):
+    def test_needs_one_sensing_tone(self, ref, ref_num):
         with pytest.raises(DomainError, match="^radar budget needs n_sense >= 1$"):
-            radar_terms(ref, partition(1024, 800, 0))
+            link_stage(ref, partition(1024, 800, 0), ref_num)
 
-    def test_wavelength_overflow_named(self, ref_plan):
+    def test_wavelength_overflow_named(self, ref_plan, ref_num):
         # c / 1e-300 Hz is past the largest double, so the wavelength term would be inf
         with pytest.raises(DomainError, match="^c / carrier_hz overflows the floating-point range$"):
-            radar_terms(Scenario(carrier_hz=1e-300), ref_plan)
+            link_stage(Scenario(carrier_hz=1e-300), ref_plan, ref_num)
 
-    def test_one_sensing_tone_suffices(self, ref):
-        terms = radar_terms(ref, partition(1024, 800, 1))
-        assert terms.sense_fraction_db == pytest.approx(10.0 * math.log10(1 / 1024), abs=DB_TOL)
+    def test_one_sensing_tone_suffices(self, ref, ref_plan, ref_num):
+        one = point(link_stage(ref, partition(1024, 800, 1), ref_num), 1, 9.0)
+        full = point(link_stage(ref, ref_plan, ref_num), 1, 9.0)
+        assert one.noise_sense_dbw == pytest.approx(noise_power_dbw(ref.noise_temp_k, ref.bandwidth_hz / 1024), abs=DB_TOL)
+        # the sense fraction falls from 224/1024 to 1/1024
+        assert one.radar_rx_power_dbw - full.radar_rx_power_dbw == pytest.approx(10.0 * math.log10(1 / 224), abs=DB_TOL)
 
 
 class TestScenarioValidation:

@@ -153,6 +153,8 @@ def test_package_import_loads_no_registry_json_or_pathlib():
         (performance, "detection_feasible"),
         (performance, "ici_effective_snr_db"),
         (linkbudget, "radar_budget_db"),
+        (linkbudget, "RadarTerms"),
+        (linkbudget, "radar_terms"),
         (geometry, "slant_range"),
         (sweep, "radar_snrs"),
     ],
