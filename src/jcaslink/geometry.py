@@ -23,12 +23,11 @@ def implied_altitude(slant_range_km: float, elevation_deg: float) -> float:
         raise DomainError("slant_range_km must be > 0")
     if not 0.0 <= elevation_deg <= 90.0:
         raise DomainError("elevation_deg must be within [0, 90] degrees")
+    slant_sq = slant_range_km * slant_range_km
+    if slant_sq == math.inf:
+        raise DomainError("slant_range_km squared overflows the floating-point range")
     sin_e = math.sin(math.radians(elevation_deg))
-    return -EARTH_RADIUS_KM + math.sqrt(
-        _EARTH_RADIUS_SQ
-        + slant_range_km * slant_range_km
-        + 2.0 * slant_range_km * EARTH_RADIUS_KM * sin_e
-    )
+    return -EARTH_RADIUS_KM + math.sqrt(_EARTH_RADIUS_SQ + slant_sq + 2.0 * slant_range_km * EARTH_RADIUS_KM * sin_e)
 
 
 def orbital_speed(altitude_km: float) -> float:

@@ -271,7 +271,6 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     not pre-summed, in the order P + 10log10(sf) + G_tx + G_rx + 20log10(lambda)
     + 10log10(rcs) - 30log10(4 pi) - 20log10(R1) - 20log10(R2) - N_sense, with
     R2 the target-receiver leg (bistatic) or R1 again (monostatic)."""
-    implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
     comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
@@ -288,6 +287,7 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     noise_sense = noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
+    implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)
 
     def grid(elements, powers) -> dict[str, list]:

@@ -85,6 +85,7 @@ class TestSimulate:
             "bandwidth_hz=1e200 tx_power_dbw=-4000",
             "tx_power_dbw=-3100",
             "d_sat_user_km=1e300",
+            "d_sat_user_km=1e160",
             "noise_temp_k=1e308 bandwidth_hz=1e30",
             "carrier_hz=1e308 d_sat_user_km=1e-5 tx_power_dbw=6000",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),

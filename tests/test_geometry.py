@@ -54,6 +54,7 @@ class TestImpliedAltitude:
             (550.0, -0.1, r"elevation_deg must be within \[0, 90\] degrees"),
             (550.0, 90.1, r"elevation_deg must be within \[0, 90\] degrees"),
             (550.0, math.nextafter(90.0, 91.0), r"elevation_deg must be within \[0, 90\] degrees"),
+            (1e160, 10.0, "slant_range_km squared overflows the floating-point range"),
         ],
     )
     def test_domain_errors(self, slant, elevation, message):

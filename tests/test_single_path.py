@@ -248,11 +248,13 @@ def config_values(draw):
 @given(values=config_values(), mode=st.sampled_from(Mode))
 @example(values={"bandwidth_hz": 1e200, "tx_power_dbw": -4000.0}, mode=Mode.ALL)  # inf * 0 delay information
 @example(values={"tx_power_dbw": -3100.0}, mode=Mode.ALL)  # c^2 * variance overflows
+@example(values={"d_sat_user_km": 1e160}, mode=Mode.ALL)  # slant range squared overflows
 def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
     try:
-        _, perf = run_point(Scenario(**values), mode)
+        link, perf = run_point(Scenario(**values), mode)
     except DomainError:
         return
+    assert 0.0 <= link.implied_altitude_diag_km < math.inf
     for f in fields(perf):
         value = getattr(perf, f.name)
         if isinstance(value, float):
