@@ -24,6 +24,10 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError("expected 'true' or 'false'")
 
 
+def _parse_optional_float(raw: str) -> float | None:
+    return None if raw.lower() == "none" else float(raw)
+
+
 def _parse_enum(enum_cls):
     def parse(raw: str):
         try:
@@ -42,7 +46,7 @@ def _parse_list(kind):
     return parse
 
 
-_PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: float}
+_PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: _parse_optional_float}
 
 # One parser per Scenario field, chosen by the field's annotated type.
 SCENARIO_PARSERS = {

@@ -128,6 +128,16 @@ class TestSimulate:
         assert report_value(out, "tx_power_dbw") == "7"
         assert report_value(out, "n_elements") == "4"
 
+    @pytest.mark.parametrize("none", ["none", "None", "NONE"])
+    def test_set_resets_a_per_leg_gain_to_none(self, capsys, tmp_path, none):
+        config = tmp_path / "gain.cfg"
+        config.write_text("rx_gain_comm_dbi = 30.5\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--set", f"rx_gain_comm_dbi={none}")
+        assert code == 0
+        assert report_value(out, "rx_gain_comm_dbi") == "none"
+        _, default, _ = run_cli(capsys, "simulate")
+        assert report_value(out, "comm_snr_db") == report_value(default, "comm_snr_db")
+
     def test_config_error_carries_line_number(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("tx_power_dbw = 5\n\nwhat_is_this = 1\n")

@@ -140,6 +140,18 @@ def test_simulate_stdout_matches_golden(case, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_configuration_echo_reads_back(case, capsys, tmp_path):
+    """The effective-configuration section of the ledger is itself a config
+    document that reproduces the ledger."""
+    assert main(["simulate", *SIMULATE_CASES[case]]) == 0
+    echo = capsys.readouterr().out.split("# geometry diagnostics")[0]
+    config = tmp_path / "echo.cfg"
+    config.write_text(echo, encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
+
+
 def test_bands_stdout_matches_golden():
     assert bands_stdout().encode("utf-8") == BANDS.read_bytes()
 
