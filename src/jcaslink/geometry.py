@@ -27,7 +27,11 @@ def implied_altitude(slant_range_km: float, elevation_deg: float) -> float:
     if slant_sq == math.inf:
         raise DomainError("slant_range_km squared overflows the floating-point range")
     sin_e = math.sin(math.radians(elevation_deg))
-    return -EARTH_RADIUS_KM + math.sqrt(_EARTH_RADIUS_SQ + slant_sq + 2.0 * slant_range_km * EARTH_RADIUS_KM * sin_e)
+    return -EARTH_RADIUS_KM + math.sqrt(
+        _EARTH_RADIUS_SQ
+        + slant_sq
+        + 2.0 * slant_range_km * EARTH_RADIUS_KM * sin_e
+    )
 
 
 def orbital_speed(altitude_km: float) -> float:
