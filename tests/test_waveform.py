@@ -216,3 +216,7 @@ class TestSymbolsIn:
     def test_negative_window_rejected(self, ref_num):
         with pytest.raises(DomainError):
             symbols_in(-1e-3, ref_num)
+
+    def test_overflowing_ratio_rejected(self, ref_num):
+        with pytest.raises(DomainError, match="^t_integration_s / t_symbol overflows the floating-point range$"):
+            symbols_in(1e308, ref_num)
