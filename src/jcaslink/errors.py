@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and ``no_overflow``, the one
+guard every layer uses to reject a product that leaves the float range."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -21,3 +24,10 @@ class ConfigError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def no_overflow(value: float, name: str) -> float:
+    """``value``, or DomainError naming ``name`` when it is infinite."""
+    if math.isinf(value):
+        raise DomainError(f"{name} overflows the floating-point range")
+    return value

@@ -8,7 +8,7 @@ name says otherwise. Everything is a pure function of its inputs.
 import math
 
 from .constants import EARTH_RADIUS_KM, MU_EARTH, SPEED_OF_LIGHT
-from .errors import DomainError
+from .errors import DomainError, no_overflow
 
 _EARTH_RADIUS_SQ = EARTH_RADIUS_KM * EARTH_RADIUS_KM
 
@@ -23,9 +23,7 @@ def implied_altitude(slant_range_km: float, elevation_deg: float) -> float:
         raise DomainError("slant_range_km must be > 0")
     if not 0.0 <= elevation_deg <= 90.0:
         raise DomainError("elevation_deg must be within [0, 90] degrees")
-    slant_sq = slant_range_km * slant_range_km
-    if slant_sq == math.inf:
-        raise DomainError("slant_range_km squared overflows the floating-point range")
+    slant_sq = no_overflow(slant_range_km * slant_range_km, "slant_range_km squared")
     sin_e = math.sin(math.radians(elevation_deg))
     return -EARTH_RADIUS_KM + math.sqrt(
         _EARTH_RADIUS_SQ
@@ -49,8 +47,5 @@ def doppler_shift(carrier_hz: float, radial_speed_mps: float) -> float:
     """Signed Doppler shift in Hz: f * v / c (positive for closing motion)."""
     if carrier_hz <= 0:
         raise DomainError("carrier_hz must be > 0")
-    shift = carrier_hz * radial_speed_mps / SPEED_OF_LIGHT
-    if math.isinf(shift):
-        raise DomainError("carrier_hz * radial_speed_mps overflows the floating-point range")
-    return shift
+    return no_overflow(carrier_hz * radial_speed_mps / SPEED_OF_LIGHT, "carrier_hz * radial_speed_mps")
 

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 from . import geometry
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
-from .errors import DomainError
+from .errors import DomainError, no_overflow
 from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
 
 _FOUR_PI = 4.0 * math.pi
@@ -183,11 +183,9 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
         raise DomainError("freq_hz must be > 0")
     if distance_m <= 0:
         raise DomainError("distance_m must be > 0")
-    ratio = _FOUR_PI * distance_m * freq_hz / SPEED_OF_LIGHT
+    ratio = no_overflow(_FOUR_PI * distance_m * freq_hz / SPEED_OF_LIGHT, "4 pi d f / c")
     if ratio == 0.0:
         raise DomainError("4 pi d f / c underflows to 0")
-    if ratio == math.inf:
-        raise DomainError("4 pi d f / c overflows the floating-point range")
     return 20.0 * math.log10(ratio)
 
 
@@ -197,11 +195,9 @@ def noise_power_dbw(temp_k: float, bandwidth_hz: float) -> float:
         raise DomainError("temp_k must be > 0")
     if bandwidth_hz <= 0:
         raise DomainError("bandwidth_hz must be > 0")
-    ktb = BOLTZMANN * temp_k * bandwidth_hz
+    ktb = no_overflow(BOLTZMANN * temp_k * bandwidth_hz, "k T B")
     if ktb == 0.0:
         raise DomainError("k T B underflows to 0")
-    if ktb == math.inf:
-        raise DomainError("k T B overflows the floating-point range")
     return 10.0 * math.log10(ktb)
 
 
@@ -276,11 +272,8 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
     if plan.n_sense < 1:
         raise DomainError("radar budget needs n_sense >= 1")
-    wavelength_m = SPEED_OF_LIGHT / s.carrier_hz
-    if wavelength_m == math.inf:
-        raise DomainError("c / carrier_hz overflows the floating-point range")
     sense_fraction = 10.0 * math.log10(plan.sense_fraction)
-    wavelength = 20.0 * math.log10(wavelength_m)
+    wavelength = 20.0 * math.log10(no_overflow(SPEED_OF_LIGHT / s.carrier_hz, "c / carrier_hz"))
     rcs = 10.0 * math.log10(s.rcs_m2)
     target_range = 20.0 * math.log10(s.d_sat_target_km * 1000.0)  # R1, satellite-target leg
     rx_range = 20.0 * math.log10(s.d_target_rx_km * 1000.0)  # R2, target-receiver leg

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, PartitionOverflowError
+from .errors import DomainError, PartitionOverflowError, no_overflow
 
 
 class TonePlacement(Enum):
@@ -138,7 +138,4 @@ def symbols_in(t_integration_s: float, num: OfdmNumerology) -> int:
     """Whole OFDM symbols that fit in the integration window."""
     if t_integration_s < 0:
         raise DomainError("t_integration_s must be >= 0")
-    ratio = t_integration_s / num.t_symbol_s
-    if ratio == math.inf:
-        raise DomainError("t_integration_s / t_symbol overflows the floating-point range")
-    return math.floor(ratio)
+    return math.floor(no_overflow(t_integration_s / num.t_symbol_s, "t_integration_s / t_symbol"))
