@@ -265,8 +265,9 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     (elements, powers) -> {LinkResult field: column over every (n, p), n-major},
     array gains first. A radar budget needs a sensing tone and adds its terms,
     not pre-summed, in the order P + 10log10(sf) + G_tx + G_rx + 20log10(lambda)
-    + 10log10(rcs) - 30log10(4 pi) - 20log10(R1) - 20log10(R2) - N_sense, with
-    R2 the target-receiver leg (bistatic) or R1 again (monostatic)."""
+    + 10log10(rcs) - 30log10(4 pi) - 20log10(R1) - 20log10(R2) - N_sense, with R1
+    the satellite-target leg and R2 the target-receiver leg (bistatic) or R1
+    again (monostatic)."""
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
     comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
@@ -275,8 +276,8 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     sense_fraction = 10.0 * math.log10(plan.sense_fraction)
     wavelength = 20.0 * math.log10(no_overflow(SPEED_OF_LIGHT / s.carrier_hz, "c / carrier_hz"))
     rcs = 10.0 * math.log10(s.rcs_m2)
-    target_range = 20.0 * math.log10(s.d_sat_target_km * 1000.0)  # R1, satellite-target leg
-    rx_range = 20.0 * math.log10(s.d_target_rx_km * 1000.0)  # R2, target-receiver leg
+    target_range = 20.0 * math.log10(no_overflow(s.d_sat_target_km * 1000.0, "d_sat_target_km * 1000"))
+    rx_range = 20.0 * math.log10(no_overflow(s.d_target_rx_km * 1000.0, "d_target_rx_km * 1000"))
     noise_sense = noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
     gain = integration_gain_db(s.t_integration_s, num)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.

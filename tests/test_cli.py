@@ -88,6 +88,8 @@ class TestSimulate:
             "d_sat_user_km=1e160",
             "noise_temp_k=1e308 bandwidth_hz=1e30",
             "carrier_hz=1e308 d_sat_user_km=1e-5 tx_power_dbw=6000",
+            "d_sat_target_km=1e306",
+            "d_target_rx_km=1e306 mode=radar_monostatic",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
             pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
             pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),

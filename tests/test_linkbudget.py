@@ -176,6 +176,15 @@ class TestRadarTerms:
         with pytest.raises(DomainError, match="^c / carrier_hz overflows the floating-point range$"):
             link_stage(Scenario(carrier_hz=1e-300), ref_plan, ref_num)
 
+    def test_target_range_overflow_named(self, ref_plan, ref_num):
+        # 1e306 km * 1000 is past the largest double, so 20 log10(R1) would be inf
+        with pytest.raises(DomainError, match=r"^d_sat_target_km \* 1000 overflows the floating-point range$"):
+            link_stage(Scenario(d_sat_target_km=1e306), ref_plan, ref_num)
+
+    def test_receiver_range_overflow_named(self, ref_plan, ref_num):
+        with pytest.raises(DomainError, match=r"^d_target_rx_km \* 1000 overflows the floating-point range$"):
+            link_stage(Scenario(d_target_rx_km=1e306), ref_plan, ref_num)
+
     def test_one_sensing_tone_suffices(self, ref, ref_plan, ref_num):
         one = point(link_stage(ref, partition(1024, 800, 1), ref_num), 1, 9.0)
         full = point(link_stage(ref, ref_plan, ref_num), 1, 9.0)

@@ -249,12 +249,15 @@ def config_values(draw):
 @example(values={"bandwidth_hz": 1e200, "tx_power_dbw": -4000.0}, mode=Mode.ALL)  # inf * 0 delay information
 @example(values={"tx_power_dbw": -3100.0}, mode=Mode.ALL)  # c^2 * variance overflows
 @example(values={"d_sat_user_km": 1e160}, mode=Mode.ALL)  # slant range squared overflows
+@example(values={"d_target_rx_km": 1e306}, mode=Mode.RADAR_MONOSTATIC)  # R2 overflows on a leg not reported
 def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
     try:
         link, perf = run_point(Scenario(**values), mode)
     except DomainError:
         return
     assert 0.0 <= link.implied_altitude_diag_km < math.inf
+    for name in ("fspl_comm_db", "noise_comm_dbw", "radar_rx_power_dbw", "noise_sense_dbw", "integration_gain_db"):
+        assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
     for f in fields(perf):
         value = getattr(perf, f.name)
         if isinstance(value, float):
