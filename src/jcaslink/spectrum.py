@@ -73,12 +73,6 @@ class BandRecord:
                 if sensor not in SENSOR_KINDS:
                     raise DomainError(f"unknown sensor kind {sensor!r}")
 
-    def contains_hz(self, freq_hz: float) -> bool:
-        return self.freq_low_hz <= freq_hz <= self.freq_high_hz
-
-    def overlaps_hz(self, low_hz: float, high_hz: float) -> bool:
-        return low_hz <= self.freq_high_hz and high_hz >= self.freq_low_hz
-
 
 @dataclass(frozen=True)
 class PairingReport:
@@ -162,7 +156,7 @@ def lookup_comm_band(freq_ghz: float) -> BandRecord | None:
         raise DomainError("freq_ghz must be finite and > 0")
     freq_hz = freq_ghz * _GHZ
     for record in comm_records():
-        if record.contains_hz(freq_hz):
+        if record.freq_low_hz <= freq_hz <= record.freq_high_hz:
             return record
     return None
 
@@ -173,7 +167,7 @@ def lookup_radar_allocations(freq_low_ghz: float, freq_high_ghz: float) -> tuple
     if not freq_low_ghz < freq_high_ghz:
         raise DomainError("freq_low_ghz must be < freq_high_ghz")
     low_hz, high_hz = freq_low_ghz * _GHZ, freq_high_ghz * _GHZ
-    hits = [r for r in radar_records() if r.overlaps_hz(low_hz, high_hz)]
+    hits = [r for r in radar_records() if low_hz <= r.freq_high_hz and high_hz >= r.freq_low_hz]
     hits.sort(key=lambda r: r.freq_low_hz)
     return tuple(hits)
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcaslink
-from jcaslink import geometry, linkbudget, performance, sweep
+from jcaslink import geometry, linkbudget, performance, spectrum, sweep
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.sweep import Mode, SweepSpec, run_point, run_sweep
@@ -157,6 +157,8 @@ def test_package_import_loads_no_registry_json_or_pathlib():
         (linkbudget, "radar_terms"),
         (geometry, "slant_range"),
         (sweep, "radar_snrs"),
+        (spectrum.BandRecord, "contains_hz"),
+        (spectrum.BandRecord, "overlaps_hz"),
     ],
 )
 def test_deleted_entry_point_is_gone(module, name):
