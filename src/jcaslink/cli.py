@@ -6,13 +6,13 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import spectrum
 from ._version import __version__
 from .config import effective_values, scenario_from_values, sweep_spec_from_values
 from .errors import ConfigError, DomainError
 from .linkbudget import user_link_doppler
+from .records import asdict
 from .sweep import Mode, emit_csv, format_value, run_point, run_sweep
 
 _GHZ = 1e9

@@ -7,11 +7,11 @@ Omitted keys keep the reference-scenario defaults.
 """
 
 import os
-from dataclasses import fields
 from enum import EnumMeta
 
 from .errors import ConfigError
 from .linkbudget import Scenario
+from .records import fields
 from .sweep import Mode, SweepSpec
 
 

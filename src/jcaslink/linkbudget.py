@@ -17,13 +17,13 @@ same reason.
 """
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
 
 from . import geometry
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import DomainError, no_overflow
+from .records import fields, record
 from .waveform import OfdmNumerology, SubcarrierPlan, TonePlacement, symbols_in
 
 _FOUR_PI = 4.0 * math.pi
@@ -41,7 +41,7 @@ class ArrayGainModel(Enum):
     PER_ELEMENT_POWER = "per_element_power"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """Full parameter set of one joint-link evaluation point.
 
@@ -154,7 +154,7 @@ def check_printable(name: str, value: int) -> None:
         raise DomainError(f"{name} must be within Python's integer-to-text digit limit") from None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class LinkResult:
     """Intermediate and final budget figures for one scenario point.
 

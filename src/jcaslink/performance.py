@@ -12,10 +12,10 @@ estimator.
 """
 
 import math
-from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError
+from .records import record
 from .waveform import OfdmNumerology, SubcarrierPlan
 
 QPSK_BITS_PER_SYMBOL = 2
@@ -25,7 +25,7 @@ _INFORMATION_OVERFLOWS = "8 pi^2 Brms^2 snr overflows the floating-point range"
 _C_SQ = SPEED_OF_LIGHT * SPEED_OF_LIGHT
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PerformanceResult:
     shannon_rate_bps: float
     qpsk_capped_rate_bps: float

@@ -18,13 +18,13 @@ occupied bandwidth) to match how the allocations are usually quoted.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError
+from .records import record
 
 BAND_LETTERS = frozenset({"L", "S", "C", "X", "Ku", "K", "Ka", "Q-V", "P", "W", "G"})
 
@@ -51,7 +51,7 @@ class PairingVerdict(Enum):
     UNALLOCATED = "unallocated"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BandRecord:
     """One allocation row: a service, a band letter, a frequency range and
     the database notes text."""
@@ -74,7 +74,7 @@ class BandRecord:
                     raise DomainError(f"unknown sensor kind {sensor!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PairingReport:
     """Join of the two tables around one carrier's occupied bandwidth;
     ``comm_band`` is the communications band containing the carrier."""

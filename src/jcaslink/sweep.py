@@ -11,9 +11,7 @@ table keeps the columns: ``emit_csv`` formats straight from them, and the
 per-point records are built on the first read of ``ResultTable.rows``.
 """
 
-import hashlib
 import os
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from math import isfinite
@@ -24,6 +22,7 @@ from ._version import __version__
 from .errors import DomainError
 from .linkbudget import LinkResult, Scenario, check_printable, typed_value
 from .performance import PerformanceResult
+from .records import fields, record
 
 CSV_COLUMNS = (
     "n_elements",
@@ -57,7 +56,7 @@ class Mode(Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepSpec:
     base: Scenario = Scenario()
     power_axis_dbw: tuple[float, ...] = DEFAULT_POWER_AXIS_DBW
@@ -92,7 +91,7 @@ class SweepSpec:
                 raise DomainError(f"{name} values must be distinct")
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SweepRow:
     tx_power_dbw: float
     n_elements: int
@@ -100,7 +99,7 @@ class SweepRow:
     perf: PerformanceResult
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResultTable:
     """A sweep's results as columns over the grid of the sorted axes, n-major."""
 
@@ -152,7 +151,10 @@ def _json_token(value) -> str:
 
 def scenario_fingerprint(s: Scenario) -> str:
     """First 16 hex digits of the SHA-256 of the sorted-key JSON of every
-    scenario field plus the pinned constants."""
+    scenario field plus the pinned constants. ``hashlib`` loads on the first
+    call, so ``simulate`` and ``bands``, which never fingerprint, skip it."""
+    import hashlib
+
     blob = _FINGERPRINT_JSON % tuple(map(_json_token, _fingerprint_values(s)))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

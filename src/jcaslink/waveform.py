@@ -6,10 +6,10 @@ sensing tone set, which sets delay-estimation accuracy.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, PartitionOverflowError, no_overflow
+from .records import record
 
 
 class TonePlacement(Enum):
@@ -19,7 +19,7 @@ class TonePlacement(Enum):
     BLOCK_EDGE = "block_edge"  # two contiguous blocks at the band edges
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OfdmNumerology:
     bandwidth_hz: float
     n_subcarriers: int
@@ -60,7 +60,7 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubcarrierPlan:
     n_total: int
     n_data: int

@@ -95,7 +95,7 @@ def test_criterion_6_monostatic_infeasibility():
     num = numerology(base.bandwidth_hz, base.n_subcarriers, base.n_cp)
     plan = partition(base.n_subcarriers, base.n_data, base.n_sense)
 
-    from dataclasses import replace
+    from jcaslink.records import replace
 
     g_tx = array_gain_db(base.tx_gain_ref_dbi, base.n_elements, base.n_elements_ref, base.array_gain_model)
     matched = replace(base, rx_gain_sense_dbi=g_tx)

@@ -19,7 +19,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,7 @@ import pytest
 from jcaslink.cli import main
 from jcaslink.config import parse_overrides, sweep_spec_from_values
 from jcaslink.errors import DomainError
+from jcaslink.records import asdict
 from jcaslink.spectrum import BAND_LETTERS
 from jcaslink.sweep import run_sweep
 
@@ -123,7 +123,7 @@ def varied_overrides(count: int) -> list:
 
 def full_precision_rows(overrides) -> list:
     table = run_sweep(sweep_spec_from_values(parse_overrides(list(overrides))))
-    return [[row.n_elements, row.tx_power_dbw, *astuple(row.link), *astuple(row.perf)] for row in table.rows]
+    return [[row.n_elements, row.tx_power_dbw, *asdict(row.link).values(), *asdict(row.perf).values()] for row in table.rows]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,7 +1,6 @@
 """Link-budget oracles: path loss, noise, array gain, and the three SNRs."""
 
 import math
-from dataclasses import fields, replace
 from operator import attrgetter
 
 import pytest
@@ -17,6 +16,7 @@ from jcaslink.linkbudget import (
     link_stage,
     noise_power_dbw,
 )
+from jcaslink.records import fields, replace
 from jcaslink.sweep import run_point
 from jcaslink.waveform import numerology, partition
 

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ import jcaslink
 from jcaslink import geometry, linkbudget, performance, spectrum, sweep
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
+from jcaslink.records import fields, replace
 from jcaslink.sweep import Mode, SweepSpec, run_point, run_sweep
 from jcaslink.waveform import TonePlacement
 
@@ -132,9 +132,11 @@ def modules_after(statements: str) -> set:
 def test_package_import_loads_no_registry_json_or_pathlib():
     loaded = modules_after("import jcaslink, jcaslink.config")
     assert "jcaslink.sweep" in loaded
-    assert loaded.isdisjoint({"json", "pathlib", "jcaslink.spectrum"})
+    assert loaded.isdisjoint({"json", "pathlib", "jcaslink.spectrum", "dataclasses", "inspect", "hashlib"})
     assert "jcaslink.spectrum" in modules_after("import jcaslink\njcaslink.check_jcas_pairing")
-    assert "jcaslink.spectrum" in modules_after("import jcaslink.cli")
+    cli_loaded = modules_after("import jcaslink.cli")
+    assert "jcaslink.spectrum" in cli_loaded
+    assert cli_loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 # Second entry points deleted in favour of run_point and the stage functions.

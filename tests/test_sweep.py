@@ -5,7 +5,6 @@ import hashlib
 import json
 import tempfile
 from collections import Counter
-from dataclasses import fields, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 from jcaslink import constants, linkbudget, performance, sweep, waveform
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
+from jcaslink.records import fields, replace
 from jcaslink.sweep import (
     CSV_COLUMNS,
     Mode,
