@@ -1,9 +1,6 @@
-"""Record classes: what jcaslink uses of ``@dataclass``, without importing its
-module, which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``. ``record``
-compiles one function per class, its ``__init__``, with the body ``@dataclass``
-writes; the equality, repr, hash and frozen guards are shared functions, and a
-record equals only a record of its own class.
-"""
+"""What jcaslink uses of ``@dataclass``, without its module, which loads ``inspect``, ``ast``,
+``dis`` and ``tokenize``: ``record`` compiles one ``__init__`` per class and shares equality,
+repr, hash and the frozen guards; a record equals only a record of its own class."""
 
 from types import SimpleNamespace
 
@@ -44,27 +41,30 @@ def _frozen(self, name, *value):
 
 
 def record(frozen=False, slots=False):
-    """``dataclass(frozen=frozen, slots=slots)``, for jcaslink's records: a frozen
-    record hashes by its fields, a mutable one is unhashable."""
+    """``dataclass(frozen=True)`` or ``dataclass(slots=True)``, exactly one of the two:
+    a frozen record hashes by its fields, a slotted one is mutable and unhashable."""
+    if frozen == slots:
+        raise TypeError("record() takes exactly one of frozen=True and slots=True")
 
     def build(cls):
-        body = dict(cls.__dict__)
-        names = tuple(body.get("__annotations__", {}))
+        # cls.__annotations__, not a __dict__ key: from Python 3.14 annotations are lazy and the key is absent.
+        ann = cls.__annotations__
+        body, names = {**cls.__dict__, "__annotations__": ann}, tuple(ann)
         scope = {"_set": object.__setattr__, **{f"_d_{n}": body[n] for n in names if n in body}}
         params = ", ".join(f"{n}=_d_{n}" if n in body else n for n in names)
         lines = [f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
         lines += ["self.__post_init__()"] if "__post_init__" in body else []
         exec(f"def __init__(self, {params}):\n " + "\n ".join(lines), scope)
         scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        for n in ("__dict__", "__weakref__", *(names if slots else ())):
+        for n in ("__dict__", "__weakref__", *(() if frozen else names)):
             body.pop(n, None)
         body.update(__init__=scope["__init__"], __qualname__=cls.__qualname__, __eq__=_eq, __repr__=_repr)
-        body["__hash__"] = _hash if frozen else None
-        body["__record_fields__"] = tuple(SimpleNamespace(name=n, type=body["__annotations__"][n]) for n in names)
+        body.update(__match_args__=names, __replace__=replace)
+        body["__record_fields__"] = tuple(SimpleNamespace(name=n, type=ann[n]) for n in names)
         if frozen:
-            body.update(__setattr__=_frozen, __delattr__=_frozen)
-        if slots:
-            body["__slots__"] = names
+            body.update(__hash__=_hash, __setattr__=_frozen, __delattr__=_frozen)
+        else:
+            body.update(__hash__=None, __slots__=names)
         return type(cls)(cls.__name__, cls.__bases__, body)
 
     return build

@@ -3,6 +3,7 @@ assignment and hash by value, slotted records have no __dict__ and are
 unhashable, fields come in declaration order, ``replace`` validates again,
 and a record equals only a record of its own class."""
 
+import copy
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import LinkResult, Scenario
 from jcaslink.performance import PerformanceResult
-from jcaslink.records import fields, replace
+from jcaslink.records import fields, record, replace
 from jcaslink.spectrum import BandRecord, PairingReport, check_jcas_pairing, parse_record
 from jcaslink.sweep import ResultTable, SweepRow, SweepSpec, run_sweep
 from jcaslink.waveform import OfdmNumerology, SubcarrierPlan, numerology, partition
@@ -134,3 +135,46 @@ def test_repr_names_the_class_and_every_field():
     assert repr(partition(8, 4, 2)) == (
         "SubcarrierPlan(n_total=8, n_data=4, n_sense=2, n_unused=2, data_fraction=0.5, sense_fraction=0.25)"
     )
+
+
+def test_positional_match_patterns_and_replace_protocol():
+    match link_result():
+        case LinkResult(0.0, 1.0, comm_snr_db=2.0):
+            matched = True
+        case _:
+            matched = False
+    assert matched
+    assert Scenario.__match_args__ == tuple(f.name for f in fields(Scenario))
+    # copy.replace (Python 3.13+) calls the class's __replace__.
+    for obj in (Scenario(), link_result()):
+        changed = type(obj).__replace__(obj, **{fields(obj)[1].name: 3.0})
+        assert type(changed) is type(obj) and getattr(changed, fields(obj)[1].name) == 3.0
+    if hasattr(copy, "replace"):
+        assert copy.replace(Scenario(), tx_power_dbw=7.0) == replace(Scenario(), tx_power_dbw=7.0)
+    with pytest.raises(DomainError):
+        Scenario().__replace__(carrier_hz=-1.0)
+
+
+def test_record_takes_exactly_one_of_frozen_and_slots():
+    for kwargs in ({}, {"frozen": True, "slots": True}):
+        with pytest.raises(TypeError):
+            record(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["frozen", "slots"])
+def test_fields_come_from_the_annotations_attribute_not_the_class_dict(kind):
+    # From Python 3.14 a class __dict__ holds no __annotations__ key; the annotations
+    # are evaluated when the attribute is first read. A metaclass property stands in.
+    class LazyAnnotations(type):
+        @property
+        def __annotations__(cls):
+            return {"x": int, "y": float}
+
+    class Point(metaclass=LazyAnnotations):
+        y = 2.0
+
+    assert "__annotations__" not in Point.__dict__
+    Point = record(**{kind: True})(Point)
+    assert [(f.name, f.type) for f in fields(Point)] == [("x", int), ("y", float)]
+    assert repr(Point(1)).endswith("<locals>.Point(x=1, y=2.0)")
+    assert Point(1) == Point(x=1, y=2.0) != Point(1, 3.0)
