@@ -294,6 +294,10 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
             r + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range - noise_sense
             for r, g_tx in zip(radiated, [g_tx for g_tx in gains for _ in powers])
         ]
+        # The terms are finite, so a radar sum can only overflow to +-inf, which a finite total rules out.
+        if not math.isfinite(sum(radar_rx) + sum(mono)):
+            for name, column in (("radar_rx_power_dbw", radar_rx), ("mono_snr_single_db", mono)):
+                no_overflow(max(column, key=abs), name)
         if applied_doppler_hz:  # column by column: comm, then bistatic, then monostatic
             comm, bi, mono = (
                 ici_effective_snr_db(c, applied_doppler_hz, num.subcarrier_spacing_hz) for c in (comm, bi, mono)

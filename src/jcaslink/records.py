@@ -1,6 +1,7 @@
 """What jcaslink uses of ``@dataclass``, without its module, which loads ``inspect``, ``ast``,
-``dis`` and ``tokenize``: ``record`` compiles one ``__init__`` per class and shares equality,
-repr, hash and the frozen guards; a record equals only a record of its own class."""
+``dis`` and ``tokenize``: ``record`` shares equality, repr, hash and the frozen guards; a record
+equals only a record of its own class. The frozen records share one binder, ``__init__(self,
+*args, **kwargs)``; only the slotted ones, built by the thousand, compile an ``__init__``."""
 
 from types import SimpleNamespace
 
@@ -40,6 +41,30 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {self.__class__.__qualname__}")
 
 
+def _binder(qualname, names, defaults, post_init):
+    """A frozen record's ``__init__``, built without source: positionals bind in declaration order,
+    defaults fill the rest, one ``__dict__.update`` writes the fields in that order, ``post_init`` runs."""
+    template, required = {n: defaults.get(n) for n in names}, {n for n in names if n not in defaults}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args), **kwargs) if args else kwargs
+        if len(given) < len(args) + len(kwargs):  # too many positionals, or a field given twice
+            twice = [k for k in kwargs if k in names[: len(args)]]
+            raise TypeError(f"{qualname}() got multiple values for argument {twice[0]!r}" if twice else
+                            f"{qualname}() takes at most {len(names)} positional arguments but {len(args)} were given")
+        if tuple(given) != names:  # a field left to its default, keywords out of order, or misuse
+            if not kwargs.keys() <= template.keys():
+                raise TypeError(f"{qualname}() got an unexpected keyword argument {min(kwargs.keys() - names)!r}")
+            if not given.keys() >= required:
+                raise TypeError(f"{qualname}() missing required argument {min(required - given.keys())!r}")
+            given = template | given
+        self.__dict__.update(given)
+        if post_init is not None:
+            post_init(self)
+
+    return __init__
+
+
 def record(frozen=False, slots=False):
     """``dataclass(frozen=True)`` or ``dataclass(slots=True)``, exactly one of the two:
     a frozen record hashes by its fields, a slotted one is mutable and unhashable."""
@@ -50,15 +75,19 @@ def record(frozen=False, slots=False):
         # cls.__annotations__, not a __dict__ key: from Python 3.14 annotations are lazy and the key is absent.
         ann = cls.__annotations__
         body, names = {**cls.__dict__, "__annotations__": ann}, tuple(ann)
-        scope = {"_set": object.__setattr__, **{f"_d_{n}": body[n] for n in names if n in body}}
-        params = ", ".join(f"{n}=_d_{n}" if n in body else n for n in names)
-        lines = [f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
-        lines += ["self.__post_init__()"] if "__post_init__" in body else []
-        exec(f"def __init__(self, {params}):\n " + "\n ".join(lines), scope)
-        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        defaults = {n: body[n] for n in names if n in body}
+        if frozen:
+            init = _binder(cls.__qualname__, names, defaults, body.get("__post_init__"))
+        else:  # a compiled __init__ binds a few times faster than the binder, which rows needs
+            scope = {f"_d_{n}": value for n, value in defaults.items()}
+            params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
+            lines = [f"self.{n} = {n}" for n in names] + ["self.__post_init__()"] * ("__post_init__" in body)
+            exec(f"def __init__(self, {params}):\n " + "\n ".join(lines), scope)
+            init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
         for n in ("__dict__", "__weakref__", *(() if frozen else names)):
             body.pop(n, None)
-        body.update(__init__=scope["__init__"], __qualname__=cls.__qualname__, __eq__=_eq, __repr__=_repr)
+        body.update(__init__=init, __qualname__=cls.__qualname__, __eq__=_eq, __repr__=_repr)
         body.update(__match_args__=names, __replace__=replace)
         body["__record_fields__"] = tuple(SimpleNamespace(name=n, type=ann[n]) for n in names)
         if frozen:

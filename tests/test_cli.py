@@ -90,6 +90,11 @@ class TestSimulate:
             "carrier_hz=1e308 d_sat_user_km=1e-5 tx_power_dbw=6000",
             "d_sat_target_km=1e306",
             "d_target_rx_km=1e306 mode=radar_monostatic",
+            # a radar sum past the float range on the leg the mode does not report
+            "mode=radar_monostatic tx_power_dbw=2e293 tx_gain_ref_dbi=-1e293 rx_gain_comm_dbi=-1e293"
+            " rx_gain_sense_dbi=1.7976931348623157e308",
+            "tx_gain_ref_dbi=1e308 rx_gain_dbi=-1e308",
+            "tx_gain_ref_dbi=1e308 rx_gain_dbi=-1e308 doppler_precompensated=false",
             pytest.param("n_elements=" + "9" * 400, id="n_elements=9x400"),
             pytest.param("n_elements_ref=" + "9" * 400, id="n_elements_ref=9x400"),
             pytest.param("n_subcarriers=" + "9" * 400, id="n_subcarriers=9x400"),

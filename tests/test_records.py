@@ -178,3 +178,47 @@ def test_fields_come_from_the_annotations_attribute_not_the_class_dict(kind):
     assert [(f.name, f.type) for f in fields(Point)] == [("x", int), ("y", float)]
     assert repr(Point(1)).endswith("<locals>.Point(x=1, y=2.0)")
     assert Point(1) == Point(x=1, y=2.0) != Point(1, 3.0)
+
+
+# Frozen records with no default for at least one field: leaving one out is a TypeError.
+REQUIRED_FIELDS = (OfdmNumerology, SubcarrierPlan, ResultTable, BandRecord, PairingReport)
+
+
+def misuse_message(call) -> str:
+    with pytest.raises(TypeError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_constructor_misuse_names_the_class_and_the_argument(cls):
+    record = RECORDS[cls]()
+    given = {f.name: getattr(record, f.name) for f in fields(cls)}
+    first, *_ = given
+    too_many = misuse_message(lambda: cls(*given.values(), 0.0))
+    assert cls.__name__ in too_many and str(len(given) + 1) in too_many
+    unknown = misuse_message(lambda: cls(**given, not_a_field=1))
+    assert cls.__name__ in unknown and "'not_a_field'" in unknown
+    twice = misuse_message(lambda: cls(given[first], **given))
+    assert cls.__name__ in twice and repr(first) in twice
+
+
+@pytest.mark.parametrize("cls", REQUIRED_FIELDS, ids=lambda cls: cls.__name__)
+def test_frozen_constructor_names_each_missing_field(cls):
+    record = RECORDS[cls]()
+    given = {f.name: getattr(record, f.name) for f in fields(cls)}
+    required = [name for name in given if name not in cls.__dict__]  # a default stays a class attribute
+    assert required
+    for name in required:
+        message = misuse_message(lambda: cls(**{k: v for k, v in given.items() if k != name}))
+        assert cls.__name__ in message and repr(name) in message
+
+
+def test_frozen_record_attributes_come_in_declaration_order():
+    assert list(vars(Scenario())) == [f.name for f in fields(Scenario)]
+    assert list(vars(Scenario(rx_gain_dbi=1.0, carrier_hz=5e9))) == [f.name for f in fields(Scenario)]
+
+
+def test_frozen_records_share_one_binder():
+    assert len({cls.__init__.__code__ for cls in FROZEN}) == 1
+    assert all(cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)

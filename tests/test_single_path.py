@@ -139,6 +139,19 @@ def test_package_import_loads_no_registry_json_or_pathlib():
     assert cli_loaded.isdisjoint({"dataclasses", "inspect"})
 
 
+def test_package_import_compiles_source_only_for_the_slotted_records():
+    # The frozen records share one binder; only LinkResult, PerformanceResult and
+    # SweepRow compile an __init__ from source. The import system execs code objects.
+    count = """import builtins
+calls, real_exec = [], builtins.exec
+builtins.exec = lambda source, *rest, **kw: (calls.append(isinstance(source, str)), real_exec(source, *rest, **kw))[1]
+import jcaslink, jcaslink.config
+print(sum(calls))"""
+    result = fresh_python("-S", "-c", count)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["3"]
+
+
 # Second entry points deleted in favour of run_point and the stage functions.
 @pytest.mark.parametrize(
     "module,name",
@@ -254,6 +267,17 @@ def config_values(draw):
 @example(values={"tx_power_dbw": -3100.0}, mode=Mode.ALL)  # c^2 * variance overflows
 @example(values={"d_sat_user_km": 1e160}, mode=Mode.ALL)  # slant range squared overflows
 @example(values={"d_target_rx_km": 1e306}, mode=Mode.RADAR_MONOSTATIC)  # R2 overflows on a leg not reported
+@example(  # the bistatic received power overflows on a leg not reported
+    values={
+        "tx_power_dbw": 2e293,
+        "tx_gain_ref_dbi": -1e293,
+        "rx_gain_comm_dbi": -1e293,
+        "rx_gain_sense_dbi": 1.7976931348623157e308,
+    },
+    mode=Mode.RADAR_MONOSTATIC,
+)
+@example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308}, mode=Mode.ALL)  # the monostatic sum overflows
+@example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308, "doppler_precompensated": False}, mode=Mode.ALL)
 def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
     try:
         link, perf = run_point(Scenario(**values), mode)
@@ -262,6 +286,11 @@ def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode
     assert 0.0 <= link.implied_altitude_diag_km < math.inf
     for name in ("fspl_comm_db", "noise_comm_dbw", "radar_rx_power_dbw", "noise_sense_dbw", "integration_gain_db"):
         assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
+    # Uncompensated Doppler maps an SNR whose linear value underflows to -inf dB (ICI), on a leg not reported.
+    underflow_allowed = not values.get("doppler_precompensated", Scenario().doppler_precompensated)
+    for name in ("radar_snr_single_db", "radar_snr_integrated_db", "mono_snr_single_db", "mono_snr_integrated_db"):
+        value = getattr(link, name)
+        assert math.isfinite(value) or (underflow_allowed and value == -math.inf), f"{name} = {value!r}"
     for f in fields(perf):
         value = getattr(perf, f.name)
         if isinstance(value, float):
