@@ -5,7 +5,7 @@ import re
 import pytest
 
 from jcaslink.cli import main
-from jcaslink.config import parse_config_file
+from jcaslink.config import parse_config_file, parse_config_text, parse_overrides
 from jcaslink.errors import ConfigError
 from test_single_path import fresh_python
 
@@ -40,6 +40,24 @@ def test_config_file_path_may_be_str_or_pathlike(tmp_path):
     config = tmp_path / "ok.cfg"
     config.write_text("# comment\nn_sense = 10\n", encoding="utf-8")
     assert parse_config_file(config) == parse_config_file(str(config)) == {"n_sense": 10}
+
+
+ENUM_CHOICES = {
+    "tone_placement": "comb_uniform, block_edge",
+    "array_gain_model": "fixed_total_power, per_element_power",
+    "mode": "comm, radar_bistatic, radar_monostatic, all",
+}
+
+
+# An enum value is matched exactly, case included, and a miss lists the values in declaration order.
+@pytest.mark.parametrize("value", ["Comm", "nope", ""])
+@pytest.mark.parametrize("key", sorted(ENUM_CHOICES))
+def test_enum_config_error_lists_the_choices(key, value):
+    message = f"invalid value for {key!r}: expected one of: {ENUM_CHOICES[key]}"
+    with pytest.raises(ConfigError, match=f"^line 2: {re.escape(message)}$"):
+        parse_config_text(f"# enum\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_overrides([f"{key}={value}"])
 
 
 class TestSimulate:

@@ -1,6 +1,7 @@
 """Link-budget oracles: path loss, noise, array gain, and the three SNRs."""
 
 import math
+import re
 from operator import attrgetter
 
 import pytest
@@ -236,6 +237,21 @@ class TestScenarioValidation:
     def test_wrong_type_named_in_error(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} must be "):
             Scenario(**{field: value})
+
+    # An input that fails on two fields names the one the first failing pass meets:
+    # types, then ranges, then finiteness and the digit limit, in declaration order.
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n_cp": 10**5000, "tx_power_dbw": math.inf}, "n_cp must be within Python's integer-to-text digit limit"),
+            ({"tx_power_dbw": math.inf, "n_elements": 10**5000}, "tx_power_dbw must be finite"),
+            ({"carrier_hz": math.nan, "n_cp": 10**5000}, "carrier_hz must be > 0"),
+            ({"n_sense": "x", "carrier_hz": "y"}, "carrier_hz must be of type float, not str"),
+        ],
+    )
+    def test_first_failing_field_is_named(self, kwargs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Scenario(**kwargs)
 
     def test_int_in_float_field_is_stored_as_float(self):
         s = Scenario(tx_power_dbw=7, rx_gain_comm_dbi=-3)

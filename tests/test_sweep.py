@@ -190,6 +190,10 @@ class TestRunSweep:
         with pytest.raises(DomainError, match=f"^{field} (values )?must be "):
             SweepSpec(**{field: values})
 
+    def test_power_axis_is_checked_before_element_axis(self):
+        with pytest.raises(DomainError, match="^power_axis_dbw values must be of type float, not str$"):
+            SweepSpec(element_axis=("y",), power_axis_dbw=("x",))
+
     # An int too long for Python to print would fail the fingerprint or the
     # grid-point message; it is rejected before evaluation, by field name.
     @pytest.mark.parametrize(
