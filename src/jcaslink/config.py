@@ -29,12 +29,14 @@ def _parse_optional_float(raw: str) -> float | None:
 
 
 def _parse_enum(enum_cls):
+    members = {member.value: member for member in enum_cls}
+    allowed = ", ".join(members)
+
     def parse(raw: str):
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            allowed = ", ".join(member.value for member in enum_cls)
-            raise ValueError(f"expected one of: {allowed}") from None
+        member = members.get(raw)
+        if member is None:
+            raise ValueError(f"expected one of: {allowed}")
+        return member
 
     return parse
 

@@ -18,7 +18,6 @@ same reason.
 
 import math
 from enum import Enum
-from operator import attrgetter
 
 from . import geometry
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
@@ -78,9 +77,10 @@ class Scenario:
     rx_gain_sense_dbi: float | None = None
 
     def __post_init__(self):
-        for name, kind, value in zip(_SCENARIO_FIELDS, _SCENARIO_KINDS, _scenario_values(self)):
-            if type(value) is not kind:
-                object.__setattr__(self, name, typed_value(name, kind, value))
+        v = self.__dict__  # every field, as the binder wrote it
+        for name, kind in _SCENARIO_TYPES:
+            if type(v[name]) is not kind:
+                object.__setattr__(self, name, typed_value(name, kind, v[name]))
         positive = (
             "carrier_hz",
             "bandwidth_hz",
@@ -91,27 +91,28 @@ class Scenario:
             "noise_temp_k",
         )
         for name in positive:
-            if not getattr(self, name) > 0:
+            if not v[name] > 0:
                 raise DomainError(f"{name} must be > 0")
         for name in ("n_subcarriers", "n_elements", "n_elements_ref"):
-            if getattr(self, name) < 1:
+            if v[name] < 1:
                 raise DomainError(f"{name} must be >= 1")
         for name in ("n_data", "n_sense", "n_cp"):
-            if getattr(self, name) < 0:
+            if v[name] < 0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.n_data + self.n_sense > self.n_subcarriers:
+        if v["n_data"] + v["n_sense"] > v["n_subcarriers"]:
             raise DomainError("n_data + n_sense must not exceed n_subcarriers")
-        if self.t_integration_s < 0:
+        if v["t_integration_s"] < 0:
             raise DomainError("t_integration_s must be >= 0")
         for name in ("elevation_user_deg", "elevation_target_deg"):
-            if not 0.0 <= getattr(self, name) <= 90.0:
+            if not 0.0 <= v[name] <= 90.0:
                 raise DomainError(f"{name} must be within [0, 90] degrees")
         # Last, so the range checks above keep their messages.
-        for name, value in zip(_SCENARIO_FIELDS, _scenario_values(self)):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite")
+        for name in _SCENARIO_NUMBERS:
+            value = v[name]
             if type(value) is int:
                 check_printable(name, value)
+            elif value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def comm_rx_gain_dbi(self) -> float:
@@ -124,9 +125,9 @@ class Scenario:
         return self.rx_gain_dbi if g is None else g
 
 
-_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # in declaration order
-_SCENARIO_KINDS = tuple(f.type for f in fields(Scenario))
-_scenario_values = attrgetter(*_SCENARIO_FIELDS)
+# In declaration order: every (field, type), and the float, optional-float and int fields.
+_SCENARIO_TYPES = tuple((f.name, f.type) for f in fields(Scenario))
+_SCENARIO_NUMBERS = tuple(f.name for f in fields(Scenario) if f.type in (float, float | None, int))
 
 
 def typed_value(name: str, kind, value):
@@ -287,12 +288,15 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     def grid(elements, powers) -> dict[str, list]:
         gains = [array_gain_db(s.tx_gain_ref_dbi, n, s.n_elements_ref, s.array_gain_model) for n in elements]
         comm = [p + g_tx + comm_rx_gain - fspl - noise_comm for g_tx in gains for p in powers]
-        radiated = [p + sense_fraction + g_tx for g_tx in gains for p in powers]
-        radar_rx = [r + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range for r in radiated]
+        sensed = [p + sense_fraction for p in powers]
+        radar_rx = [
+            q + g_tx + sense_rx_gain + wavelength + rcs - _FOUR_PI_DB - target_range - rx_range
+            for g_tx in gains for q in sensed
+        ]
         bi = [rx - noise_sense for rx in radar_rx]
         mono = [
-            r + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range - noise_sense
-            for r, g_tx in zip(radiated, [g_tx for g_tx in gains for _ in powers])
+            q + g_tx + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range - noise_sense
+            for g_tx in gains for q in sensed
         ]
         # The terms are finite, so a radar sum can only overflow to +-inf, which a finite total rules out.
         if not math.isfinite(sum(radar_rx) + sum(mono)):

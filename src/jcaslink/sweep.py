@@ -72,7 +72,8 @@ class SweepSpec:
                 raise DomainError(
                     f"{name} must be a sequence of {kind.__name__} values, not {type(values).__name__}"
                 ) from None
-            axis = tuple(typed_value(f"{name} values", kind, v) for v in items)
+            label = f"{name} values"
+            axis = tuple([v if type(v) is kind else typed_value(label, kind, v) for v in items])
             if not axis:
                 raise DomainError(f"{name} must be non-empty")
             object.__setattr__(self, name, axis)
@@ -125,6 +126,7 @@ _CONSTANTS = {
     "earth_radius_km": constants.EARTH_RADIUS_KM,
 }
 _CONSTANTS_METADATA = ";".join(f"{k}={v!r}" for k, v in _CONSTANTS.items())
+_TOOL = f"jcaslink {__version__}"
 
 _FINGERPRINT_FIELDS = tuple(sorted(f.name for f in fields(Scenario)))
 _fingerprint_values = attrgetter(*_FINGERPRINT_FIELDS)
@@ -212,7 +214,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
     metadata = {
-        "tool": f"jcaslink {__version__}",
+        "tool": _TOOL,
         "fingerprint": scenario_fingerprint(spec.base),
         "constants": _CONSTANTS_METADATA,
         "mode": spec.mode.value,
@@ -236,27 +238,32 @@ def format_value(value) -> str:
 
 # One CSV row: the two axis cells, seven float cells, then "feasible,mode".
 _ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
+_CSV_HEADER = ",".join(CSV_COLUMNS)
+_ROW_TAILS = {mode: {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)} for mode in Mode}
 
 
 def emit_csv(table: ResultTable, destination: str | os.PathLike) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
-    point, floats at 9 significant digits. Re-emission is byte-identical.
-    Each line is one %-format of the table's columns whose seven float cells
-    take FLOAT_SPEC; each axis value goes through format_value once."""
+    point, floats at 9 significant digits, as UTF-8 bytes with \\n line
+    endings. Re-emission is byte-identical. Each line is one %-format of the
+    table's columns whose seven float cells take FLOAT_SPEC; each axis value
+    goes through format_value once. Powers that print alike are a DomainError,
+    raised before the file is opened."""
     mode = Mode(table.metadata["mode"])
     link, perf = table.link, table.perf
     single, integrated = _RADAR_SNRS[mode]
     powers = [format_value(p) for p in table.powers]
-    tails = {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)}
+    if len(set(powers)) != len(powers):
+        raise DomainError("power_axis_dbw values must be distinct at 9 significant digits")
     lines = [f"# {key}={value}" for key, value in table.metadata.items()]
-    lines.append(",".join(CSV_COLUMNS))
+    lines.append(_CSV_HEADER)
     lines += map(_ROW_FORMAT.__mod__, zip(
         [cell for cell in map(format_value, table.elements) for _ in powers], powers * len(table.elements),
         link["comm_snr_db"], perf["shannon_rate_bps"], perf["qpsk_capped_rate_bps"], link[single], link[integrated],
-        perf["range_mse_m2"], perf["range_rmse_m"], map(tails.__getitem__, perf["detection_feasible"]),
+        perf["range_mse_m2"], perf["range_rmse_m"], map(_ROW_TAILS[mode].__getitem__, perf["detection_feasible"]),
     ))
     try:
-        with open(destination, "w", encoding="utf-8") as out:
-            out.write("\n".join(lines) + "\n")
+        with open(destination, "wb") as out:
+            out.write(("\n".join(lines) + "\n").encode())
     except OSError as exc:
         raise OSError(f"cannot write {destination}: {exc}") from exc

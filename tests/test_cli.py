@@ -240,6 +240,15 @@ class TestSweep:
         assert "6 rows" in out
 
 
+    def test_powers_that_print_alike_exit_1_without_a_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        argv = set_args("power_axis_dbw=1.0000000001,1.0000000002 element_axis=1")
+        code, out, err = run_cli(capsys, "sweep", "--out", str(out_csv), *argv)
+        assert (code, out) == (1, "")
+        assert err == "error[domain]: power_axis_dbw values must be distinct at 9 significant digits\n"
+        assert not out_csv.exists()
+
+
 class TestBands:
     def test_reference_carrier_query(self, capsys):
         code, out, _ = run_cli(capsys, "bands", "4.2")

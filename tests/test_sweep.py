@@ -456,6 +456,13 @@ class TestEmitCsv:
             emit_csv(table, out)
             assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    def test_powers_that_print_alike_raise_before_the_file_is_opened(self, tmp_path):
+        table = run_sweep(SweepSpec(power_axis_dbw=(1.0000000001, 1.0000000002), element_axis=(1,)))
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(DomainError, match="^power_axis_dbw values must be distinct at 9 significant digits$"):
+            emit_csv(table, out)
+        assert not out.exists()
+
     def test_unwritable_destination_raises(self, tmp_path):
         table = run_sweep(SweepSpec(power_axis_dbw=(1.0,), element_axis=(1,)))
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
