@@ -239,7 +239,6 @@ class TestSweep:
         assert code == 0
         assert "6 rows" in out
 
-
     def test_powers_that_print_alike_exit_1_without_a_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         argv = set_args("power_axis_dbw=1.0000000001,1.0000000002 element_axis=1")
