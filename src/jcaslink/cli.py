@@ -1,7 +1,7 @@
 """Command-line entry point: single-point evaluation, power/element sweeps,
 and band-registry queries.
 
-Exit codes: 0 success, 1 domain error, 2 configuration error.
+Exit codes: 0 success, 1 domain or output-file error, 2 configuration error.
 """
 
 import argparse

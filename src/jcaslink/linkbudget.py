@@ -228,13 +228,13 @@ def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
     return 10.0 * math.log10(n)
 
 
-def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: float) -> list[float]:
-    """Effective SNR column under an uncompensated carrier offset fd: the
-    useful subcarrier power scales by a = sinc^2(fd / spacing) and the lost
-    power reappears as inter-carrier interference,
-    sinr = a snr / (1 + (1 - a) snr). The spacing check and the factor a run
-    once per call, then the linear, SINR and dB columns in turn. With fd = 0
-    the input SNRs are returned unchanged."""
+def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: float, name: str) -> list[float]:
+    """Effective SNR column ``name`` under an uncompensated carrier offset fd:
+    the useful subcarrier power scales by a = sinc^2(fd / spacing) and the lost
+    power reappears as inter-carrier interference, sinr = a snr / (1 + (1 - a) snr);
+    a SINR that underflows to 0 is a DomainError naming the column. The spacing
+    check and the factor a run once per call, then the linear, SINR and dB
+    columns in turn. With fd = 0 the input SNRs are returned unchanged."""
     if subcarrier_spacing_hz <= 0:
         raise DomainError("subcarrier_spacing_hz must be > 0")
     if doppler_hz == 0.0:
@@ -248,7 +248,10 @@ def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: floa
     except OverflowError:
         raise DomainError(f"{db!r} dB overflows the linear scale") from None
     sinrs = [a * snr / (1.0 + (1.0 - a) * snr) for snr in snrs]
-    return [-math.inf if sinr == 0.0 else 10.0 * math.log10(sinr) for sinr in sinrs]
+    try:
+        return [10.0 * math.log10(sinr) for sinr in sinrs]
+    except ValueError:  # log10(0)
+        raise DomainError(f"{name} underflows to 0 under the Doppler ICI penalty") from None
 
 
 def user_link_doppler(s: Scenario, implied_alt_km: float) -> tuple[float, float, float]:
@@ -304,7 +307,8 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
                 no_overflow(max(column, key=abs), name)
         if applied_doppler_hz:  # column by column: comm, then bistatic, then monostatic
             comm, bi, mono = (
-                ici_effective_snr_db(c, applied_doppler_hz, num.subcarrier_spacing_hz) for c in (comm, bi, mono)
+                ici_effective_snr_db(column, applied_doppler_hz, num.subcarrier_spacing_hz, name)
+                for name, column in (("comm_snr_db", comm), ("radar_snr_single_db", bi), ("mono_snr_single_db", mono))
             )
         size = len(comm)
         return dict(  # in LinkResult field order

@@ -18,10 +18,9 @@ occupied bandwidth) to match how the allocations are usually quoted.
 """
 
 import math
+import os
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 
 from .errors import DomainError
 from .records import record
@@ -108,16 +107,16 @@ def format_record(record: BandRecord) -> str:
     )
 
 
-def load_registry(path: str | Path | None = None) -> tuple[BandRecord, ...]:
+def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ...]:
     """Load band records from ``path``, or the packaged database by default.
 
     Lines that are blank or start with ``#`` are ignored. A malformed record
     raises DomainError naming the offending line.
     """
     if path is None:
-        text = resources.files("jcaslink").joinpath("data/bands.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+        path = os.path.join(os.path.dirname(__file__), "data", "bands.txt")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -130,11 +129,12 @@ def load_registry(path: str | Path | None = None) -> tuple[BandRecord, ...]:
     return tuple(records)
 
 
-def dump_registry(records: tuple[BandRecord, ...], path: str | Path) -> None:
+def dump_registry(records: tuple[BandRecord, ...], path: str | os.PathLike) -> None:
     """Write records back out in the canonical one-record-per-line format."""
     lines = ["# service|band_letter|low_hz|high_hz|notes"]
     lines.extend(format_record(r) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 @lru_cache(maxsize=1)

@@ -1,15 +1,17 @@
 """Pinned sweep, simulate and bands outputs, so a refactor that shifts every number
-consistently still fails: each case's CSV and each simulate ledger must
-match its committed file byte for byte, as must the `bands` stdout for
-every band letter and a set of carriers, and every row's link and
-performance figures must match at full precision (the CSV keeps 9
-significant digits, which hides a change in the last bits).
+consistently still fails. The cases of tests/data/cli_cases.txt that name a
+fixture pin each sweep CSV and simulate ledger byte for byte (tests/test_cli.py
+runs them); here the `bands` stdout for every band letter and a set of
+carriers must match its file, and every row of those sweeps and of seeded
+varied scenarios must match its link and performance figures at full
+precision (the CSV keeps 9 significant digits, which hides a change in the
+last bits).
 
 The sweep files in tests/data/ were written by the code as it stood before
 the staged evaluator, the simulate files by the code before the ledger was
 rendered from the result types, the bands file by the code before band
-records stored their notes verbatim. Regenerate them only for an intended change
-of output:
+records stored their notes verbatim. Regenerate them, from the table's
+cases, only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,10 +21,12 @@ import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from cli_matrix import read_cases, run
 from jcaslink.cli import main
 from jcaslink.config import parse_overrides, sweep_spec_from_values
 from jcaslink.errors import DomainError
@@ -35,38 +39,18 @@ FULL_PRECISION = DATA / "golden_full_precision.json"
 BANDS = DATA / "bands_queries.txt"
 VARIED = 40
 
-CASES = {
-    "default": (),
-    "radar_monostatic": ("mode=radar_monostatic",),
-    "block_edge": ("tone_placement=block_edge",),
-    "doppler_uncompensated": ("doppler_precompensated=false",),
-    "per_element_power": ("array_gain_model=per_element_power",),
-    "per_leg_gains_doppler": (
-        "rx_gain_comm_dbi=30.5",
-        "rx_gain_sense_dbi=35.25",
-        "doppler_precompensated=false",
-        "tone_placement=block_edge",
-    ),
-}
-
-SIMULATE_CASES = {
-    "default": (),
-    "radar_monostatic": ("--mode", "radar_monostatic"),
-    "doppler_uncompensated": ("--set", "doppler_precompensated=false"),
-    "all_keys": ("--config", str(DATA / "simulate_all_keys.cfg")),
-}
+PINNED = [case for case in read_cases().values() if case.fixture]
+# The --set assignments of each pinned sweep, which golden_full_precision.json also pins.
+SWEEP_OVERRIDES = [
+    [value for flag, value in zip(case.argv, case.argv[1:]) if flag == "--set"]
+    for case in PINNED
+    if case.argv[0] == "sweep"
+]
+SIMULATE_CASES = [case for case in PINNED if case.argv[0] == "simulate"]
 
 # Every band letter (sorted, since BAND_LETTERS is a frozenset), a lower-case
 # letter, and carriers that are comm_only, jcas_colocated and unallocated.
 BANDS_QUERIES = (*sorted(BAND_LETTERS), "ku", "4.2", "5.41", "0.5", "3.0", "12")
-
-
-def write_csv(case: str, out: Path) -> None:
-    argv = ["sweep", "--out", str(out)]
-    for assignment in CASES[case]:
-        argv += ["--set", assignment]
-    if main(argv) != 0:
-        raise RuntimeError(f"golden case {case!r} failed")
 
 
 def bands_stdout() -> str:
@@ -126,30 +110,16 @@ def full_precision_rows(overrides) -> list:
     return [[row.n_elements, row.tx_power_dbw, *asdict(row.link).values(), *asdict(row.perf).values()] for row in table.rows]
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_sweep_csv_matches_golden(case, tmp_path, capsys):
-    out = tmp_path / f"{case}.csv"
-    write_csv(case, out)
-    capsys.readouterr()
-    assert out.read_bytes() == (DATA / f"golden_{case}.csv").read_bytes()
-
-
-@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
-def test_simulate_stdout_matches_golden(case, capsys):
-    assert main(["simulate", *SIMULATE_CASES[case]]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+@pytest.mark.parametrize("case", SIMULATE_CASES, ids=[case.name for case in SIMULATE_CASES])
 def test_simulate_configuration_echo_reads_back(case, capsys, tmp_path):
     """The effective-configuration section of the ledger is itself a config
     document that reproduces the ledger."""
-    assert main(["simulate", *SIMULATE_CASES[case]]) == 0
+    assert main(list(case.argv)) == 0
     echo = capsys.readouterr().out.split("# geometry diagnostics")[0]
     config = tmp_path / "echo.cfg"
     config.write_text(echo, encoding="utf-8")
     assert main(["simulate", "--config", str(config)]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"simulate_{case}.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / case.fixture).read_bytes()
 
 
 def test_bands_stdout_matches_golden():
@@ -158,21 +128,20 @@ def test_bands_stdout_matches_golden():
 
 def test_sweep_values_match_golden_at_full_precision():
     golden = json.loads(FULL_PRECISION.read_text(encoding="utf-8"))
-    assert len(golden) == len(CASES) + VARIED
+    assert [entry["overrides"] for entry in golden[: len(SWEEP_OVERRIDES)]] == SWEEP_OVERRIDES
+    assert len(golden) == len(SWEEP_OVERRIDES) + VARIED
     for entry in golden:
         assert full_precision_rows(entry["overrides"]) == entry["rows"], entry["overrides"]
 
 
 if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    for name in CASES:
-        write_csv(name, DATA / f"golden_{name}.csv")
-    overrides = [list(assignments) for assignments in CASES.values()] + varied_overrides(VARIED)
-    golden = [{"overrides": o, "rows": full_precision_rows(o)} for o in overrides]
+    with tempfile.TemporaryDirectory() as directory:
+        for case in PINNED:
+            got = run(case, directory)
+            if got.code:
+                raise RuntimeError(f"case {case.name!r} exited {got.code}: {got.stderr!r}")
+            (DATA / case.fixture).write_bytes(got.output)
+    golden = [{"overrides": o, "rows": full_precision_rows(o)} for o in SWEEP_OVERRIDES + varied_overrides(VARIED)]
     FULL_PRECISION.write_text(json.dumps(golden, separators=(",", ":")) + "\n", encoding="utf-8")
-    for name in SIMULATE_CASES:
-        with contextlib.redirect_stdout(io.StringIO()) as buffer:
-            main(["simulate", *SIMULATE_CASES[name]])
-        (DATA / f"simulate_{name}.txt").write_text(buffer.getvalue(), encoding="utf-8")
     BANDS.write_text(bands_stdout(), encoding="utf-8")
     sys.exit(0)
