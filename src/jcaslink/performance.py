@@ -43,7 +43,10 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
     log2(1 + snr) and its cap, the delay variance 1 / (8 pi^2 Brms^2
     post_snr), the bistatic range error c^2 variance and the verdict
     post_snr >= threshold (inclusive), checked in that order, delay, range,
-    rate, feasibility, each over its whole column before the next one."""
+    rate, feasibility, each over its whole column before the next one. A
+    finiteness or overflow check scans its column only when the column's
+    sum is not finite, which any non-finite element or an overflow of the
+    sum makes it; the check that no information term is zero always scans."""
     if rms_bandwidth_hz <= 0:
         raise DomainError("rms_bandwidth_hz must be > 0")
     scale = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz
@@ -57,7 +60,7 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
     isfinite, log2, sqrt, inf = math.isfinite, math.log2, math.sqrt, math.inf
 
     def grid(comm_snrs, post_snrs) -> dict[str, list]:
-        if not all(map(isfinite, post_snrs)):
+        if not isfinite(sum(post_snrs)) and not all(map(isfinite, post_snrs)):
             raise DomainError("post_snr_db must be finite")
         try:  # ``db`` holds the value being converted, so an overflow names it
             information = [scale * 10.0 ** ((db := snr) / 10.0) for snr in post_snrs]
@@ -65,13 +68,13 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
             raise DomainError(f"{db!r} dB overflows the linear scale") from None
         if 0.0 in information:
             raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
-        if inf in information:
+        if sum(information) == inf and inf in information:
             raise DomainError(_INFORMATION_OVERFLOWS)
         variance = [1.0 / x for x in information]
         mse = [_C_SQ * v for v in variance]
-        if inf in mse:
+        if sum(mse) == inf and inf in mse:
             raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
-        if not all(map(isfinite, comm_snrs)):
+        if not isfinite(sum(comm_snrs)) and not all(map(isfinite, comm_snrs)):
             raise DomainError("snr_db must be finite")
         try:
             shannon = [prefactor * log2(1.0 + 10.0 ** ((db := snr) / 10.0)) for snr in comm_snrs]

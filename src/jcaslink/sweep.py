@@ -236,34 +236,42 @@ def format_value(value) -> str:
     return "none" if value is None else str(value)
 
 
-# One CSV row: the two axis cells, seven float cells, then "feasible,mode".
-_ROW_FORMAT = "%s,%s," + ",".join(["%" + FLOAT_SPEC] * 7) + ",%s"
+# One CSV row, as bytes: the two axis cells, seven float cells, then "feasible,mode".
+_ROW_FORMAT = b"%s,%s," + b",".join([b"%" + FLOAT_SPEC.encode()] * 7) + b",%s\n"
 _CSV_HEADER = ",".join(CSV_COLUMNS)
-_ROW_TAILS = {mode: {flag: f"{format_value(flag)},{mode.value}" for flag in (True, False)} for mode in Mode}
+_ROW_TAILS = {mode: {flag: f"{format_value(flag)},{mode.value}".encode() for flag in (True, False)} for mode in Mode}
 
 
 def emit_csv(table: ResultTable, destination: str | os.PathLike) -> None:
     """Write the table as CSV: '#' metadata lines, a header, one line per
     point, floats at 9 significant digits, as UTF-8 bytes with \\n line
-    endings. Re-emission is byte-identical. Each line is one %-format of the
-    table's columns whose seven float cells take FLOAT_SPEC; each axis value
-    goes through format_value once. Powers that print alike are a DomainError,
-    raised before the file is opened."""
+    endings. Re-emission is byte-identical. The body is one bytes %-format
+    over the columns interleaved by slice into one list; the seven float
+    cells take FLOAT_SPEC, and each axis value goes through format_value
+    once. Powers that print alike are a DomainError, raised before the file
+    is opened."""
     mode = Mode(table.metadata["mode"])
     link, perf = table.link, table.perf
     single, integrated = _RADAR_SNRS[mode]
-    powers = [format_value(p) for p in table.powers]
+    powers = [format_value(p).encode() for p in table.powers]
     if len(set(powers)) != len(powers):
         raise DomainError("power_axis_dbw values must be distinct at 9 significant digits")
-    lines = [f"# {key}={value}" for key, value in table.metadata.items()]
-    lines.append(_CSV_HEADER)
-    lines += map(_ROW_FORMAT.__mod__, zip(
-        [cell for cell in map(format_value, table.elements) for _ in powers], powers * len(table.elements),
+    elements = [format_value(n).encode() for n in table.elements]
+    columns = (
+        [cell for cell in elements for _ in powers], powers * len(elements),
         link["comm_snr_db"], perf["shannon_rate_bps"], perf["qpsk_capped_rate_bps"], link[single], link[integrated],
         perf["range_mse_m2"], perf["range_rmse_m"], map(_ROW_TAILS[mode].__getitem__, perf["detection_feasible"]),
-    ))
+    )
+    n_rows = len(elements) * len(powers)
+    cells = [None] * (len(columns) * n_rows)
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    cells = tuple(cells)  # frees the list before the body is formatted
+    body = _ROW_FORMAT * n_rows % cells
+    head = "".join([f"# {key}={value}\n" for key, value in table.metadata.items()]) + _CSV_HEADER + "\n"
     try:
         with open(destination, "wb") as out:
-            out.write(("\n".join(lines) + "\n").encode())
+            out.write(head.encode())
+            out.write(body)
     except OSError as exc:
         raise OSError(f"cannot write {destination}: {exc}") from exc

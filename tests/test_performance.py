@@ -150,3 +150,23 @@ def test_point_checks_run_in_order(perf_at, comm_snr_db, post_snr_db, threshold_
 def test_column_overflow_names_the_offending_value(ref_stage, comm_snrs, post_snrs):
     with pytest.raises(DomainError, match=r"^4000\.0 dB overflows the linear scale$"):
         ref_stage()(comm_snrs, post_snrs)
+
+
+# Each finiteness and overflow check sums its column before it scans it. Two
+# finite terms whose sum overflows must still evaluate: 2911.8 dB gives two
+# information terms near 1e308, -3078.5 dB two range errors near 9.7e307.
+@pytest.mark.parametrize("post_snr_db", [2911.8, -3078.5])
+def test_finite_column_whose_sum_overflows_evaluates(ref_stage, post_snr_db):
+    result = ref_stage()((0.0, 0.0), (post_snr_db, post_snr_db))
+    information, mse = [1.0 / v for v in result["delay_variance_s2"]], result["range_mse_m2"]
+    assert math.inf in (sum(information), sum(mse))
+    assert all(map(math.isfinite, information + mse))
+
+
+# 1e308 dB is finite, so a column of two is past the finiteness check though
+# its sum is not, and fails where the dB value meets the linear scale.
+@pytest.mark.parametrize("comm_snrs, post_snrs", [((0.0, 0.0), (1e308, 1e308)), ((1e308, 1e308), (0.0, 0.0))])
+def test_finite_column_whose_sum_overflows_reaches_the_linear_scale(ref_stage, comm_snrs, post_snrs):
+    with pytest.raises(DomainError) as error:
+        ref_stage()(comm_snrs, post_snrs)
+    assert str(error.value) == "1e+308 dB overflows the linear scale"

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 import jcaslink
@@ -224,11 +224,13 @@ def config_values(draw):
     the largest double and counts of up to 400 digits. Independent draws
     over the whole range seldom put one budget term past an edge while the
     rest stay in range, so the other half keep the reference scenario and
-    put one magnitude and one dB value in the edge decades."""
+    put one magnitude and one dB value in the edge decades, with Doppler
+    precompensated or not, so that the ICI penalty meets those edges too."""
     if draw(st.booleans()):
         return {
             draw(st.sampled_from(MAGNITUDE_FIELDS)): draw(EDGE_MAGNITUDES),
             draw(st.sampled_from(DB_FIELDS)): draw(EDGE_DB),
+            "doppler_precompensated": draw(st.booleans()),
         }
     n_subcarriers = draw(COUNTS)
     n_sense = draw(st.integers(0, n_subcarriers))
@@ -278,6 +280,12 @@ def config_values(draw):
 )
 @example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308}, mode=Mode.ALL)  # the monostatic sum overflows
 @example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308, "doppler_precompensated": False}, mode=Mode.ALL)
+@example(  # the monostatic SINR underflows to 0 under the ICI penalty, on a leg not reported
+    values={"doppler_precompensated": False, "tx_gain_ref_dbi": -5000.0, "rx_gain_dbi": 5000.0}, mode=Mode.ALL
+)
+@example(  # the bistatic SINR underflows to 0 under the ICI penalty, on a leg not reported
+    values={"doppler_precompensated": False, "rx_gain_sense_dbi": -4000.0}, mode=Mode.RADAR_MONOSTATIC
+)
 def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode):
     try:
         link, perf = run_point(Scenario(**values), mode)
@@ -288,6 +296,8 @@ def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode
         assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
     for name in ("radar_snr_single_db", "radar_snr_integrated_db", "mono_snr_single_db", "mono_snr_integrated_db"):
         assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
+    # Steer the search toward the overflow and underflow edges of the budget.
+    target(max(abs(getattr(link, f.name)) for f in fields(link) if f.name.endswith(("_db", "_dbw"))), label="max |dB|")
     for f in fields(perf):
         value = getattr(perf, f.name)
         if isinstance(value, float):

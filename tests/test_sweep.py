@@ -429,6 +429,9 @@ class TestEmitCsv:
     )
     @example(Mode.ALL, TonePlacement.COMB_UNIFORM, True, [3, -7], [1, 10**10])
     @example(Mode.RADAR_MONOSTATIC, TonePlacement.BLOCK_EDGE, False, [0.5, 9], [16])
+    @example(  # the benchmark's grid_dense shape, 50 powers x 40 elements
+        Mode.ALL, TonePlacement.COMB_UNIFORM, True, [-5.0 + 0.5 * k for k in range(50)], list(range(1, 41))
+    )
     def test_bytes_equal_format_value_on_every_cell(self, mode, placement, precompensated, powers, elements):
         base = Scenario(tone_placement=placement, doppler_precompensated=precompensated)
         table = run_sweep(SweepSpec(base, tuple(powers), tuple(elements), mode))
