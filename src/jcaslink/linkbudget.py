@@ -40,7 +40,7 @@ class ArrayGainModel(Enum):
     PER_ELEMENT_POWER = "per_element_power"
 
 
-@record(frozen=True)
+@record()
 class Scenario:
     """Full parameter set of one joint-link evaluation point.
 

@@ -14,14 +14,13 @@ estimator.
 import math
 
 from .constants import SPEED_OF_LIGHT
-from .errors import DomainError
+from .errors import DomainError, no_overflow
 from .records import record
 from .waveform import OfdmNumerology, SubcarrierPlan
 
 QPSK_BITS_PER_SYMBOL = 2
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
-_INFORMATION_OVERFLOWS = "8 pi^2 Brms^2 snr overflows the floating-point range"
 _C_SQ = SPEED_OF_LIGHT * SPEED_OF_LIGHT
 
 
@@ -49,9 +48,7 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
     sum makes it; the check that no information term is zero always scans."""
     if rms_bandwidth_hz <= 0:
         raise DomainError("rms_bandwidth_hz must be > 0")
-    scale = _EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz
-    if scale == math.inf:
-        raise DomainError(_INFORMATION_OVERFLOWS)
+    scale = no_overflow(_EIGHT_PI_SQ * rms_bandwidth_hz * rms_bandwidth_hz, "8 pi^2 Brms^2 snr")
     prefactor = plan.data_fraction * num.cp_overhead * num.bandwidth_hz
     try:
         qpsk_cap = plan.n_data * QPSK_BITS_PER_SYMBOL / num.t_symbol_s
@@ -68,12 +65,12 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
             raise DomainError(f"{db!r} dB overflows the linear scale") from None
         if 0.0 in information:
             raise DomainError("8 pi^2 Brms^2 snr underflows to 0; the delay bound is unbounded")
-        if sum(information) == inf and inf in information:
-            raise DomainError(_INFORMATION_OVERFLOWS)
+        if sum(information) == inf:  # the terms are positive, so max is inf exactly when inf is in the column
+            no_overflow(max(information), "8 pi^2 Brms^2 snr")
         variance = [1.0 / x for x in information]
         mse = [_C_SQ * v for v in variance]
-        if sum(mse) == inf and inf in mse:
-            raise DomainError("c^2 * delay_variance_s2 overflows the floating-point range")
+        if sum(mse) == inf:
+            no_overflow(max(mse), "c^2 * delay_variance_s2")
         if not isfinite(sum(comm_snrs)) and not all(map(isfinite, comm_snrs)):
             raise DomainError("snr_db must be finite")
         try:

@@ -1,7 +1,7 @@
-"""What jcaslink uses of ``@dataclass``, without its module, which loads ``inspect``, ``ast``,
-``dis`` and ``tokenize``: ``record`` shares equality, repr, hash and the frozen guards; a record
-equals only a record of its own class. The frozen records share one binder, ``__init__(self,
-*args, **kwargs)``; only the slotted ones, built by the thousand, compile an ``__init__``."""
+"""What jcaslink uses of ``@dataclass(frozen=True)``, without its module, which loads ``inspect``,
+``ast``, ``dis`` and ``tokenize``: ``record`` shares equality, repr, hash, pickling and the frozen
+guards; a record equals only a record of its own class. Every record is frozen and every class
+shares one binder, ``__init__(self, *args, **kwargs)``; no source is compiled."""
 
 from types import SimpleNamespace
 
@@ -37,14 +37,20 @@ def _repr(self):
     return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in asdict(self).items())})"
 
 
+def _reduce(self):
+    return self.__class__, _values(self)
+
+
 def _frozen(self, name, *value):
     raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {self.__class__.__qualname__}")
 
 
-def _binder(qualname, names, defaults, post_init):
-    """A frozen record's ``__init__``, built without source: positionals bind in declaration order,
-    defaults fill the rest, one ``__dict__.update`` writes the fields in that order, ``post_init`` runs."""
+def _binder(qualname, names, defaults, post_init, slots):
+    """A record's ``__init__``, built without source: positionals bind in declaration order, defaults
+    fill the rest, the fields are written in that order, to their slots with ``object.__setattr__``
+    or to the instance dict with one ``__dict__.update``, and ``post_init`` runs."""
     template, required = {n: defaults.get(n) for n in names}, {n for n in names if n not in defaults}
+    setattr_ = object.__setattr__
 
     def __init__(self, *args, **kwargs):
         given = dict(zip(names, args), **kwargs) if args else kwargs
@@ -58,42 +64,35 @@ def _binder(qualname, names, defaults, post_init):
             if not given.keys() >= required:
                 raise TypeError(f"{qualname}() missing required argument {min(required - given.keys())!r}")
             given = template | given
-        self.__dict__.update(given)
+        if slots:
+            for name, value in given.items():
+                setattr_(self, name, value)
+        else:
+            self.__dict__.update(given)
         if post_init is not None:
             post_init(self)
 
     return __init__
 
 
-def record(frozen=False, slots=False):
-    """``dataclass(frozen=True)`` or ``dataclass(slots=True)``, exactly one of the two:
-    a frozen record hashes by its fields, a slotted one is mutable and unhashable."""
-    if frozen == slots:
-        raise TypeError("record() takes exactly one of frozen=True and slots=True")
+def record(slots=False):
+    """``dataclass(frozen=True)``, with ``slots=True`` as ``dataclass(frozen=True, slots=True)``:
+    a record refuses assignment and hashes by its fields."""
 
     def build(cls):
         # cls.__annotations__, not a __dict__ key: from Python 3.14 annotations are lazy and the key is absent.
         ann = cls.__annotations__
         body, names = {**cls.__dict__, "__annotations__": ann}, tuple(ann)
         defaults = {n: body[n] for n in names if n in body}
-        if frozen:
-            init = _binder(cls.__qualname__, names, defaults, body.get("__post_init__"))
-        else:  # a compiled __init__ binds a few times faster than the binder, which rows needs
-            scope = {f"_d_{n}": value for n, value in defaults.items()}
-            params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
-            lines = [f"self.{n} = {n}" for n in names] + ["self.__post_init__()"] * ("__post_init__" in body)
-            exec(f"def __init__(self, {params}):\n " + "\n ".join(lines), scope)
-            init = scope["__init__"]
+        init = _binder(cls.__qualname__, names, defaults, body.get("__post_init__"), slots)
         init.__qualname__ = f"{cls.__qualname__}.__init__"
-        for n in ("__dict__", "__weakref__", *(() if frozen else names)):
+        for n in ("__dict__", "__weakref__", *(names if slots else ())):
             body.pop(n, None)
-        body.update(__init__=init, __qualname__=cls.__qualname__, __eq__=_eq, __repr__=_repr)
-        body.update(__match_args__=names, __replace__=replace)
-        body["__record_fields__"] = tuple(SimpleNamespace(name=n, type=ann[n]) for n in names)
-        if frozen:
-            body.update(__hash__=_hash, __setattr__=_frozen, __delattr__=_frozen)
-        else:
-            body.update(__hash__=None, __slots__=names)
+        body.update(__init__=init, __qualname__=cls.__qualname__, __eq__=_eq, __repr__=_repr, __hash__=_hash)
+        body.update(__match_args__=names, __replace__=replace, __reduce__=_reduce, __setattr__=_frozen,
+                    __delattr__=_frozen, __record_fields__=tuple(SimpleNamespace(name=n, type=ann[n]) for n in names))
+        if slots:
+            body["__slots__"] = names
         return type(cls)(cls.__name__, cls.__bases__, body)
 
     return build

@@ -50,7 +50,7 @@ class PairingVerdict(Enum):
     UNALLOCATED = "unallocated"
 
 
-@record(frozen=True)
+@record()
 class BandRecord:
     """One allocation row: a service, a band letter, a frequency range and
     the database notes text."""
@@ -73,7 +73,7 @@ class BandRecord:
                     raise DomainError(f"unknown sensor kind {sensor!r}")
 
 
-@record(frozen=True)
+@record()
 class PairingReport:
     """Join of the two tables around one carrier's occupied bandwidth;
     ``comm_band`` is the communications band containing the carrier."""

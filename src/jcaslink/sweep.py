@@ -56,7 +56,7 @@ class Mode(Enum):
     ALL = "all"
 
 
-@record(frozen=True)
+@record()
 class SweepSpec:
     base: Scenario = Scenario()
     power_axis_dbw: tuple[float, ...] = DEFAULT_POWER_AXIS_DBW
@@ -100,7 +100,7 @@ class SweepRow:
     perf: PerformanceResult
 
 
-@record(frozen=True)
+@record()
 class ResultTable:
     """A sweep's results as columns over the grid of the sorted axes, n-major."""
 

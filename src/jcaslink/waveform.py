@@ -19,7 +19,7 @@ class TonePlacement(Enum):
     BLOCK_EDGE = "block_edge"  # two contiguous blocks at the band edges
 
 
-@record(frozen=True)
+@record()
 class OfdmNumerology:
     bandwidth_hz: float
     n_subcarriers: int
@@ -60,7 +60,7 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
     )
 
 
-@record(frozen=True)
+@record()
 class SubcarrierPlan:
     n_total: int
     n_data: int

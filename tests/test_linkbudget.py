@@ -262,6 +262,13 @@ class TestScenarioValidation:
         assert (type(s.tx_power_dbw), s.tx_power_dbw) == (float, 7.0)
         assert (type(s.rx_gain_comm_dbi), s.rx_gain_comm_dbi) == (float, -3.0)
 
+    def test_int_subclass_in_int_field_is_stored_as_int(self):
+        class Count(int):
+            pass
+
+        s = Scenario(n_cp=Count(72))
+        assert type(s.n_cp) is int and s == Scenario()
+
     def test_partition_limit(self):
         with pytest.raises(DomainError):
             Scenario(n_data=900, n_sense=300)

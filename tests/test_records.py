@@ -1,10 +1,12 @@
-"""The ten record classes behave as dataclasses do: frozen records refuse
-assignment and hash by value, slotted records have no __dict__ and are
-unhashable, fields come in declaration order, ``replace`` validates again,
-and a record equals only a record of its own class."""
+"""The ten record classes behave as frozen dataclasses do: every record
+refuses assignment, hashes by value and pickles and copies through its
+constructor, slotted records have no __dict__, fields come in declaration
+order, ``replace`` validates again, and a record equals only a record of its
+own class."""
 
 import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -27,7 +29,7 @@ def performance_result():
     return PerformanceResult(1.0, 2.0, 3.0, 4.0, 2.0, True)
 
 
-FROZEN = {
+DICT_BACKED = {
     Scenario: Scenario,
     OfdmNumerology: lambda: numerology(1e8, 1024, 72),
     SubcarrierPlan: lambda: partition(1024, 800, 224),
@@ -41,16 +43,16 @@ SLOTTED = {
     PerformanceResult: performance_result,
     SweepRow: lambda: SweepRow(1.0, 1, link_result(), performance_result()),
 }
-RECORDS = {**FROZEN, **SLOTTED}
+RECORDS = {**DICT_BACKED, **SLOTTED}
 # A ResultTable holds its columns in dicts, so it is frozen but not hashable.
-HASHABLE = [cls for cls in FROZEN if cls is not ResultTable]
+HASHABLE = [cls for cls in RECORDS if cls is not ResultTable]
 
 
 def values(record) -> tuple:
     return tuple(getattr(record, f.name) for f in fields(record))
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_frozen_record_refuses_assignment_and_del(cls):
     record = RECORDS[cls]()
     name = fields(cls)[0].name
@@ -70,16 +72,26 @@ def test_equal_frozen_records_hash_equal(cls):
 
 
 @pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
-def test_slotted_record_has_no_dict_is_mutable_and_unhashable(cls):
-    record = RECORDS[cls]()
-    assert not hasattr(record, "__dict__")
-    with pytest.raises(TypeError):
-        hash(record)
-    name = fields(cls)[0].name
-    setattr(record, name, 7.0)
-    assert getattr(record, name) == 7.0
+def test_slotted_record_has_no_dict(cls):
+    assert not hasattr(RECORDS[cls](), "__dict__")
+
+
+def test_table_rows_refuse_assignment_and_still_equal_the_columns():
+    table = run_sweep(SweepSpec())
     with pytest.raises(AttributeError):
-        record.not_a_field = 1
+        table.rows[0].link.comm_snr_db = -1.0
+    with pytest.raises(AttributeError):
+        table.rows[0].tx_power_dbw = 0.0
+    assert tuple(row.link.comm_snr_db for row in table.rows) == tuple(table.link["comm_snr_db"])
+    assert tuple(row.tx_power_dbw for row in table.rows) == table.powers * len(table.elements)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_pickle_and_copy_round_trip_through_the_constructor(cls):
+    record = RECORDS[cls]()
+    assert record.__reduce__() == (cls, values(record))
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -155,14 +167,8 @@ def test_positional_match_patterns_and_replace_protocol():
         Scenario().__replace__(carrier_hz=-1.0)
 
 
-def test_record_takes_exactly_one_of_frozen_and_slots():
-    for kwargs in ({}, {"frozen": True, "slots": True}):
-        with pytest.raises(TypeError):
-            record(**kwargs)
-
-
-@pytest.mark.parametrize("kind", ["frozen", "slots"])
-def test_fields_come_from_the_annotations_attribute_not_the_class_dict(kind):
+@pytest.mark.parametrize("slots", [False, True], ids=["dict", "slots"])
+def test_fields_come_from_the_annotations_attribute_not_the_class_dict(slots):
     # From Python 3.14 a class __dict__ holds no __annotations__ key; the annotations
     # are evaluated when the attribute is first read. A metaclass property stands in.
     class LazyAnnotations(type):
@@ -174,14 +180,14 @@ def test_fields_come_from_the_annotations_attribute_not_the_class_dict(kind):
         y = 2.0
 
     assert "__annotations__" not in Point.__dict__
-    Point = record(**{kind: True})(Point)
+    Point = record(slots=slots)(Point)
     assert [(f.name, f.type) for f in fields(Point)] == [("x", int), ("y", float)]
     assert repr(Point(1)).endswith("<locals>.Point(x=1, y=2.0)")
     assert Point(1) == Point(x=1, y=2.0) != Point(1, 3.0)
 
 
-# Frozen records with no default for at least one field: leaving one out is a TypeError.
-REQUIRED_FIELDS = (OfdmNumerology, SubcarrierPlan, ResultTable, BandRecord, PairingReport)
+# Records with no default for at least one field: leaving one out is a TypeError.
+REQUIRED_FIELDS = (OfdmNumerology, SubcarrierPlan, ResultTable, BandRecord, PairingReport, *SLOTTED)
 
 
 def misuse_message(call) -> str:
@@ -190,7 +196,7 @@ def misuse_message(call) -> str:
     return str(excinfo.value)
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_frozen_constructor_misuse_names_the_class_and_the_argument(cls):
     record = RECORDS[cls]()
     given = {f.name: getattr(record, f.name) for f in fields(cls)}
@@ -207,7 +213,8 @@ def test_frozen_constructor_misuse_names_the_class_and_the_argument(cls):
 def test_frozen_constructor_names_each_missing_field(cls):
     record = RECORDS[cls]()
     given = {f.name: getattr(record, f.name) for f in fields(cls)}
-    required = [name for name in given if name not in cls.__dict__]  # a default stays a class attribute
+    # A default stays a class attribute; a slotted record's fields are slots, none with a default.
+    required = [name for name in given if name not in cls.__dict__ or name in getattr(cls, "__slots__", ())]
     assert required
     for name in required:
         message = misuse_message(lambda: cls(**{k: v for k, v in given.items() if k != name}))
@@ -220,5 +227,5 @@ def test_frozen_record_attributes_come_in_declaration_order():
 
 
 def test_frozen_records_share_one_binder():
-    assert len({cls.__init__.__code__ for cls in FROZEN}) == 1
+    assert len({cls.__init__.__code__ for cls in RECORDS}) == 1
     assert all(cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)

@@ -139,17 +139,17 @@ def test_package_import_loads_no_registry_json_or_pathlib():
     assert cli_loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources", "pathlib"})
 
 
-def test_package_import_compiles_source_only_for_the_slotted_records():
-    # The frozen records share one binder; only LinkResult, PerformanceResult and
-    # SweepRow compile an __init__ from source. The import system execs code objects.
+def test_package_import_compiles_no_source():
+    # Every record class shares one binder, so no import execs source text.
+    # The import system execs code objects.
     count = """import builtins
 calls, real_exec = [], builtins.exec
 builtins.exec = lambda source, *rest, **kw: (calls.append(isinstance(source, str)), real_exec(source, *rest, **kw))[1]
-import jcaslink, jcaslink.config
+import jcaslink, jcaslink.config, jcaslink.cli
 print(sum(calls))"""
     result = fresh_python("-S", "-c", count)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["3"]
+    assert result.stdout.split() == ["0"]
 
 
 # Second entry points deleted in favour of run_point and the stage functions.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -156,10 +157,19 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_registry(bad)
 
 
-def test_unknown_sensor_kind_reports_line_number(tmp_path):
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# header\nactive_sensing|P|432000000|438000000|radar=5 MHz\n", "line 2: unknown sensor kind 'radar'"),
+        ("communications|Z|1|2|x\n", "line 1: unknown band_letter 'Z'"),
+        ("communications|C|2|1|x\n", "line 1: freq_low_hz must be < freq_high_hz"),
+        ("radio|C|1|2|x\n", "line 1: unknown service 'radio'"),
+    ],
+)
+def test_bad_field_reports_line_number(tmp_path, text, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text("# header\nactive_sensing|P|432000000|438000000|radar=5 MHz\n")
-    with pytest.raises(DomainError, match="^band database line 2: unknown sensor kind 'radar'$"):
+    bad.write_text(text)
+    with pytest.raises(DomainError, match=f"^band database {re.escape(message)}$"):
         load_registry(bad)
 
 
