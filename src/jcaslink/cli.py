@@ -18,10 +18,13 @@ from .sweep import Mode, emit_csv, format_value, run_point, run_sweep
 _GHZ = 1e9
 
 
+def _values(args) -> dict:
+    """Defaults, then the config file, then each --set in order, then --mode as one last --set."""
+    return effective_values(args.config, args.set if args.mode is None else [*args.set, f"mode={args.mode}"])
+
+
 def _cmd_simulate(args) -> int:
-    values = effective_values(args.config, args.set)
-    if args.mode is not None:
-        values["mode"] = Mode(args.mode)
+    values = _values(args)
     scenario = scenario_from_values(values)
     mode = values.get("mode", Mode.ALL)
     link, perf = run_point(scenario, mode)
@@ -47,10 +50,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = effective_values(args.config, args.set)
-    if args.mode is not None:
-        values["mode"] = Mode(args.mode)
-    spec = sweep_spec_from_values(values)
+    spec = sweep_spec_from_values(_values(args))
     table = run_sweep(spec, workers=args.workers)
     emit_csv(table, args.out)
 
@@ -110,21 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jcaslink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mode_choices = [m.value for m in Mode]
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", help="flat key=value config file")
+    inputs.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one key (repeatable)")
+    modes = ", ".join(m.value for m in Mode)
+    inputs.add_argument("--mode", help=f"sensing leg driving the outputs, one of: {modes}; beats --set mode=")
 
-    simulate = sub.add_parser("simulate", help="evaluate one scenario point and print the budget ledger")
-    simulate.add_argument("--config", help="flat key=value config file")
-    simulate.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE", help="override one key (repeatable)"
+    simulate = sub.add_parser(
+        "simulate", parents=[inputs], help="evaluate one scenario point and print the budget ledger"
     )
-    simulate.add_argument("--mode", choices=mode_choices, help="sensing leg driving the performance outputs")
     simulate.set_defaults(func=_cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="evaluate the power x elements grid and write CSV")
-    sweep.add_argument("--config", help="flat key=value config file")
-    sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    sweep = sub.add_parser("sweep", parents=[inputs], help="evaluate the power x elements grid and write CSV")
     sweep.add_argument("--out", required=True, help="destination CSV path")
-    sweep.add_argument("--mode", choices=mode_choices)
     sweep.add_argument(
         "--workers", type=int, default=1, help="accepted for compatibility; evaluation is serial (result is identical)"
     )

@@ -12,7 +12,7 @@ from enum import EnumMeta
 from .errors import ConfigError
 from .linkbudget import Scenario
 from .records import fields
-from .sweep import Mode, SweepSpec
+from .sweep import SweepSpec
 
 
 def _parse_bool(raw: str) -> bool:
@@ -48,35 +48,32 @@ def _parse_list(kind):
     return parse
 
 
-_PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: _parse_optional_float}
+_PARSERS_BY_TYPE = {bool: _parse_bool, int: int, float: float, float | None: _parse_optional_float,
+                    tuple[float, ...]: _parse_list(float), tuple[int, ...]: _parse_list(int)}
 
-# One parser per Scenario field, chosen by the field's annotated type.
-SCENARIO_PARSERS = {
-    f.name: _parse_enum(f.type) if isinstance(f.type, EnumMeta) else _PARSERS_BY_TYPE[f.type]
-    for f in fields(Scenario)
-}
 
-SWEEP_PARSERS = {
-    "power_axis_dbw": _parse_list(float),
-    "element_axis": _parse_list(int),
-    "mode": _parse_enum(Mode),
-}
+def _parser(kind):
+    return _parse_enum(kind) if isinstance(kind, EnumMeta) else _PARSERS_BY_TYPE[kind]
 
+
+# One parser per Scenario and SweepSpec field, chosen by the field's annotated type.
+SCENARIO_PARSERS = {f.name: _parser(f.type) for f in fields(Scenario)}
+SWEEP_PARSERS = {f.name: _parser(f.type) for f in fields(SweepSpec) if f.name != "base"}
 ALL_PARSERS = {**SCENARIO_PARSERS, **SWEEP_PARSERS}
 
 
-def _parse_assignment(text: str, line: int | None) -> tuple[str, object]:
+def _parse_assignment(text: str) -> tuple[str, object]:
     key, sep, raw = text.partition("=")
     if not sep:
-        raise ConfigError(f"expected 'key = value', got {text!r}", line)
+        raise ConfigError(f"expected 'key = value', got {text!r}")
     key, raw = key.strip(), raw.strip()
     parser = ALL_PARSERS.get(key)
     if parser is None:
-        raise ConfigError(f"unknown key {key!r}", line)
+        raise ConfigError(f"unknown key {key!r}")
     try:
         return key, parser(raw)
     except ValueError as exc:
-        raise ConfigError(f"invalid value for {key!r}: {exc}", line) from None
+        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -86,7 +83,10 @@ def parse_config_text(text: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, value = _parse_assignment(line, lineno)
+        try:
+            key, value = _parse_assignment(line)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         values[key] = value
     return values
 
@@ -101,16 +101,12 @@ def parse_config_file(path: str | os.PathLike) -> dict:
 
 
 def parse_overrides(pairs: list[str]) -> dict:
-    """Parse repeated ``key=value`` overrides (no line numbers)."""
-    values = {}
-    for pair in pairs:
-        key, value = _parse_assignment(pair, None)
-        values[key] = value
-    return values
+    """Parse repeated ``key=value`` overrides (no line numbers); a later one wins."""
+    return dict(map(_parse_assignment, pairs))
 
 
 def effective_values(config_path: str | os.PathLike | None, overrides: list[str]) -> dict:
-    """Merge precedence: overrides beat config-file values beat defaults."""
+    """Merge precedence: overrides, in order, beat config-file values beat defaults."""
     values = {} if config_path is None else parse_config_file(config_path)
     values.update(parse_overrides(overrides))
     return values

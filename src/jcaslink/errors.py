@@ -13,17 +13,8 @@ class PartitionOverflowError(DomainError):
 
 
 class ConfigError(ValueError):
-    """A configuration document or override cannot be parsed.
-
-    ``line`` carries the 1-based line number when the error comes from a
-    config file; it is None for command-line overrides.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A configuration document or override cannot be parsed; the message of
+    one from a config file starts with its 1-based ``line N: ``."""
 
 
 def no_overflow(value: float, name: str) -> float:

@@ -110,13 +110,16 @@ def format_record(record: BandRecord) -> str:
 def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ...]:
     """Load band records from ``path``, or the packaged database by default.
 
-    Lines that are blank or start with ``#`` are ignored. A malformed record
-    raises DomainError naming the offending line.
+    Lines that are blank or start with ``#`` are ignored. A malformed record,
+    or a file that is not UTF-8, raises DomainError naming the line or path.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "bands.txt")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read band database {path}: {exc}") from None
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

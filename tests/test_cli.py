@@ -1,14 +1,26 @@
 """Command-line behavior: reports, overrides, exit codes, band queries."""
 
+import io
+import math
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from cli_matrix import expected_output, problems, read_cases, result
 from jcaslink.cli import main
-from jcaslink.config import parse_config_file, parse_config_text, parse_overrides
-from jcaslink.errors import ConfigError
-from test_single_path import fresh_python
+from jcaslink.config import ALL_PARSERS, parse_config_file, parse_config_text, parse_overrides
+from jcaslink.errors import ConfigError, DomainError
+from jcaslink.linkbudget import ArrayGainModel
+from jcaslink.spectrum import load_registry
+from jcaslink.sweep import CSV_COLUMNS, Mode
+from jcaslink.waveform import TonePlacement
+from test_single_path import config_values, fresh_python
 
 CASES = read_cases()
 
@@ -51,6 +63,13 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path):
     config.write_bytes(NOT_UTF8)
     with pytest.raises(ConfigError, match="cannot read config file .*bad.cfg: 'utf-8' codec can't decode"):
         parse_config_file(config)
+
+
+def test_band_database_not_utf8_is_a_domain_error(tmp_path):
+    database = tmp_path / "bands.txt"
+    database.write_bytes(b"communications|C|1|2|\xff\n")
+    with pytest.raises(DomainError, match="cannot read band database .*bands.txt: 'utf-8' codec can't decode"):
+        load_registry(database)
 
 
 def test_config_file_path_may_be_str_or_pathlike(tmp_path):
@@ -183,3 +202,80 @@ class TestSweep:
         assert code == 0
         assert "6 rows" in out
 
+
+# What the CLI may print as a value besides an int or a finite float.
+WORDS = {"true", "false", "none"} | {member.value for kind in (Mode, TonePlacement, ArrayGainModel) for member in kind}
+SUMMARY = re.compile(r"wrote (\d+) rows to .+; shannon_rate_bps min=(\S+) max=(\S+); range_rmse_m min=(\S+) max=(\S+)\n")
+# Assignments that do not parse for some or every key: no '=', an unknown key, and values of the wrong type.
+MALFORMED = st.sampled_from(["no_equals_sign", "bogus_key=1"]) | st.builds(
+    "{}={}".format, st.sampled_from(sorted(ALL_PARSERS)), st.sampled_from(["", "x", "1.5", "1,,2", "maybe"])
+)
+
+
+def printable(value: str) -> bool:
+    """An int, a finite float, true, false, none or an enum value."""
+    if value in WORDS or re.fullmatch(r"-?\d+", value):
+        return True
+    try:
+        return math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
+def set_arg(key: str, value) -> str:
+    return f"{key}={value.value if isinstance(value, Enum) else repr(value)}"
+
+
+# Every input a config file or --set reaches ends in exit 0 with finite printed values, or in one error line.
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "sweep"]),
+    values=config_values(),
+    dropped=st.sets(st.sampled_from(sorted(ALL_PARSERS))),
+    mode=st.none() | st.sampled_from([*(m.value for m in Mode), " radar_monostatic", "bogus"]),
+    mode_flag=st.booleans(),
+    malformed=st.lists(MALFORMED, max_size=1),
+)
+def test_every_cli_input_evaluates_or_prints_one_error_line(command, values, dropped, mode, mode_flag, malformed):
+    pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped] + malformed
+    args = [arg for pair in pairs for arg in ("--set", pair)]
+    if mode is not None:
+        args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
+    with tempfile.TemporaryDirectory() as directory:
+        out_csv = os.path.join(directory, "out.csv")
+        argv = [command, *args] + (["--out", out_csv] if command == "sweep" else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        stdout, stderr = stdout.getvalue(), stderr.getvalue()
+        csv_lines = None
+        if os.path.exists(out_csv):
+            with open(out_csv, encoding="utf-8") as f:
+                csv_lines = f.read().splitlines()
+    assert code in (0, 1, 2)
+    if code:
+        assert re.fullmatch(rf"error\[{'config' if code == 2 else 'domain'}\]: [^\n]+\n", stderr), stderr
+        assert stdout == "" and csv_lines is None
+        return
+    assert stderr == ""
+    if command == "simulate":
+        sections = {}
+        for line in stdout.splitlines():
+            if line.startswith("# "):
+                ledger = sections[line[2:]] = {}
+            else:
+                key, value = line.split(" = ")
+                ledger[key] = value
+        assert [value for ledger in sections.values() for value in ledger.values() if not printable(value)] == []
+        budget = sections["link budget"]
+        db_terms = [float(value) for key, value in budget.items() if key.endswith(("_db", "_dbw"))]
+    else:
+        summary = SUMMARY.fullmatch(stdout)
+        assert summary and all(map(printable, summary.groups()))
+        body = [line for line in csv_lines if not line.startswith("#")]
+        assert body[0] == ",".join(CSV_COLUMNS) and len(body) == 1 + int(summary[1])
+        rows = [row.split(",") for row in body[1:]]
+        assert [cell for row in rows for cell in row if not printable(cell)] == []
+        db_terms = [float(row[k]) for row in rows for k, name in enumerate(CSV_COLUMNS) if name.endswith("_db")]
+    # Steer the search toward the overflow and underflow edges of the budget.
+    target(max(map(abs, db_terms)), label="max |dB|")
