@@ -1,10 +1,16 @@
 """Command-line entry point: single-point evaluation, power/element sweeps,
 and band-registry queries.
 
-Exit codes: 0 success, 1 domain or output-file error, 2 configuration error.
+    jcaslink simulate [--config FILE] [--set KEY=VALUE ...] [--mode MODE]
+    jcaslink sweep    [--config FILE] [--set KEY=VALUE ...] [--mode MODE] --out FILE [--workers N]
+    jcaslink bands    QUERY [--bandwidth-mhz F]
+
+An option takes its value as the next word or after '=', and is never
+abbreviated. MODE is comm, radar_bistatic, radar_monostatic or all. QUERY, a
+frequency in GHz or a band letter, may begin with '-'. Exit codes: 0 success,
+1 domain or output-file error, 2 configuration error.
 """
 
-import argparse
 import sys
 
 from . import spectrum
@@ -18,13 +24,14 @@ from .sweep import Mode, emit_csv, format_value, run_point, run_sweep
 _GHZ = 1e9
 
 
-def _values(args) -> dict:
+def _values(options: dict) -> dict:
     """Defaults, then the config file, then each --set in order, then --mode as one last --set."""
-    return effective_values(args.config, args.set if args.mode is None else [*args.set, f"mode={args.mode}"])
+    overrides, mode = options["--set"], options["--mode"]
+    return effective_values(options["--config"], overrides if mode is None else [*overrides, f"mode={mode}"])
 
 
-def _cmd_simulate(args) -> int:
-    values = _values(args)
+def _cmd_simulate(options: dict) -> int:
+    values = _values(options)
     scenario = scenario_from_values(values)
     mode = values.get("mode", Mode.ALL)
     link, perf = run_point(scenario, mode)
@@ -49,14 +56,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    spec = sweep_spec_from_values(_values(args))
-    table = run_sweep(spec, workers=args.workers)
-    emit_csv(table, args.out)
+def _cmd_sweep(options: dict) -> int:
+    spec = sweep_spec_from_values(_values(options))
+    table = run_sweep(spec, workers=options["--workers"])
+    emit_csv(table, options["--out"])
 
     rates, rmses = table.perf["shannon_rate_bps"], table.perf["range_rmse_m"]
     print(
-        f"wrote {len(rates)} rows to {args.out}; "
+        f"wrote {len(rates)} rows to {options['--out']}; "
         f"shannon_rate_bps min={min(rates):.6g} max={max(rates):.6g}; "
         f"range_rmse_m min={min(rmses):.6g} max={max(rmses):.6g}"
     )
@@ -67,13 +74,13 @@ def _format_range_ghz(record: spectrum.BandRecord) -> str:
     return f"{record.freq_low_hz / _GHZ:g}-{record.freq_high_hz / _GHZ:g} GHz"
 
 
-def _cmd_bands(args) -> int:
-    query = args.query.strip()
+def _cmd_bands(options: dict) -> int:
+    query = options["QUERY"].strip()
     try:
         freq_ghz = float(query)
     except ValueError:
         return _print_band_letter(query)
-    report = spectrum.check_jcas_pairing(freq_ghz, args.bandwidth_mhz)
+    report = spectrum.check_jcas_pairing(freq_ghz, options["--bandwidth-mhz"])
     comm = report.comm_band
     if comm is None:
         print("comm band: none")
@@ -102,45 +109,53 @@ def _print_band_letter(query: str) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jcaslink",
-        description="Link-level simulator for a joint communications-and-sensing LEO downlink",
-    )
-    parser.add_argument("--version", action="version", version=f"jcaslink {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option or positional word that must be given
+_INPUTS = {"--config": None, "--set": [], "--mode": None}
+# Handler and option defaults: a number sets the value's type, a list collects each value, QUERY is the positional.
+COMMANDS = {
+    "simulate": (_cmd_simulate, _INPUTS),
+    "sweep": (_cmd_sweep, {**_INPUTS, "--out": _REQUIRED, "--workers": 1}),
+    "bands": (_cmd_bands, {"QUERY": _REQUIRED, "--bandwidth-mhz": 100.0}),
+}
 
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--config", help="flat key=value config file")
-    inputs.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one key (repeatable)")
-    modes = ", ".join(m.value for m in Mode)
-    inputs.add_argument("--mode", help=f"sensing leg driving the outputs, one of: {modes}; beats --set mode=")
 
-    simulate = sub.add_parser(
-        "simulate", parents=[inputs], help="evaluate one scenario point and print the budget ledger"
-    )
-    simulate.set_defaults(func=_cmd_simulate)
-
-    sweep = sub.add_parser("sweep", parents=[inputs], help="evaluate the power x elements grid and write CSV")
-    sweep.add_argument("--out", required=True, help="destination CSV path")
-    sweep.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; evaluation is serial (result is identical)"
-    )
-    sweep.set_defaults(func=_cmd_sweep)
-
-    bands = sub.add_parser("bands", help="query the frequency-band registry")
-    bands.add_argument("query", help="carrier frequency in GHz, or a band letter")
-    bands.add_argument(
-        "--bandwidth-mhz", type=float, default=100.0, help="occupied bandwidth for the pairing check"
-    )
-    bands.set_defaults(func=_cmd_bands)
-    return parser
+def parse_args(argv: list[str]) -> tuple:
+    """The command's handler and its options; ConfigError names the first word that does not parse."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ConfigError(f"expected a command, one of: {', '.join(COMMANDS)}; got {' '.join(argv[:1])!r}")
+    handler, options = COMMANDS[argv[0]]
+    options, words = dict(options), iter(argv[1:])
+    for word in words:
+        name, has_value, raw = word.partition("=") if word.startswith("--") else ("QUERY", "=", word)
+        if name not in options or name == "QUERY" and options[name] is not _REQUIRED:
+            raise ConfigError(f"unexpected argument {word!r} for {argv[0]}; expected: {', '.join(options)}")
+        if not has_value:
+            raw = next(words, None)
+            if raw is None:
+                raise ConfigError(f"option {name!r} expects a value")
+        current = options[name]
+        if isinstance(current, list):
+            raw = [*current, raw]
+        elif isinstance(current, (int, float)):
+            try:
+                raw = type(current)(raw)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {name!r}: {exc}") from None
+        options[name] = raw
+    missing = [name for name, value in options.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{argv[0]} expects {missing[0]}")
+    return handler, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return args.func(args)
+        if "-h" in argv or "--help" in argv or argv == ["--version"]:
+            print(f"jcaslink {__version__}" if argv == ["--version"] else (__doc__ or "").strip())  # None under -OO
+            return 0
+        handler, options = parse_args(argv)
+        return handler(options)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

@@ -77,9 +77,9 @@ def _parse_assignment(text: str) -> tuple[str, object]:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse a config document into a key -> typed-value dict."""
+    """Parse a config document, whose lines end at ``\\n`` only, into a key -> typed-value dict."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -93,7 +93,7 @@ def parse_config_text(text: str) -> dict:
 
 def parse_config_file(path: str | os.PathLike) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -121,7 +121,7 @@ def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ..
     except UnicodeDecodeError as exc:
         raise DomainError(f"cannot read band database {path}: {exc}") from None
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

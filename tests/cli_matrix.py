@@ -23,7 +23,8 @@ TABLE = os.path.join(DATA, "cli_cases.txt")
 # stderr is the expected error line, fixture a file under DATA, same_as an earlier case's name.
 Case = namedtuple("Case", "name code argv stderr fixture same_as")
 # output is the CSV a sweep wrote (None if it wrote none), or else stdout; all bytes.
-Result = namedtuple("Result", "code stdout stderr output")
+# written names every file the run left in its directory.
+Result = namedtuple("Result", "code stdout stderr output written")
 RUNS = {"PYTHONHASHSEED=0": ((), "0"), "PYTHONHASHSEED=1": ((), "1"), "python -S": (("-S",), None)}
 
 
@@ -52,13 +53,14 @@ def read_cases() -> dict:
 
 def result(case: Case, directory: str, code: int, stdout: bytes, stderr: bytes) -> Result:
     """The run's Result, reading the CSV, if the case names one, from its ``--out`` path under directory."""
+    written = sorted(os.listdir(directory))
     if "--out" not in case.argv:
-        return Result(code, stdout, stderr, stdout)
+        return Result(code, stdout, stderr, stdout, written)
     path = os.path.join(directory, case.argv[case.argv.index("--out") + 1])
     if not os.path.exists(path):
-        return Result(code, stdout, stderr, None)
+        return Result(code, stdout, stderr, None, written)
     with open(path, "rb") as f:
-        return Result(code, stdout, stderr, f.read())
+        return Result(code, stdout, stderr, f.read(), written)
 
 
 def expected_output(case: Case, output_of) -> bytes | None:
@@ -74,7 +76,7 @@ def expected_output(case: Case, output_of) -> bytes | None:
 
 def problems(case: Case, got: Result, expected: bytes | None) -> list:
     """How the run differs from the table: exit code, the whole stderr line,
-    no stdout and no CSV after a failure, and the expected output."""
+    no stdout and no file written after a failure, and the expected output."""
     found = []
     if got.code != case.code:
         found.append(f"exit code {got.code}, expected {case.code}")
@@ -83,8 +85,8 @@ def problems(case: Case, got: Result, expected: bytes | None) -> list:
         found.append(f"stderr {got.stderr!r}, expected {stderr!r}")
     if case.code and got.stdout:
         found.append(f"stdout {got.stdout[:200]!r} after a failure")
-    if case.code and "--out" in case.argv and got.output is not None:
-        found.append("a CSV was written after a failure")
+    if case.code and got.written:
+        found.append(f"{', '.join(got.written)} written after a failure")
     if expected is not None and got.output != expected:
         found.append(f"output differs from {case.fixture or case.same_as}")
     return found

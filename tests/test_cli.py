@@ -17,12 +17,13 @@ from jcaslink.cli import main
 from jcaslink.config import ALL_PARSERS, parse_config_file, parse_config_text, parse_overrides
 from jcaslink.errors import ConfigError, DomainError
 from jcaslink.linkbudget import ArrayGainModel
-from jcaslink.spectrum import load_registry
+from jcaslink.spectrum import BAND_LETTERS, load_registry
 from jcaslink.sweep import CSV_COLUMNS, Mode
 from jcaslink.waveform import TonePlacement
 from test_single_path import config_values, fresh_python
 
 CASES = read_cases()
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 NOT_UTF8 = b"n_sense = 10\n\xff\xfe bad\n"
 
@@ -56,6 +57,16 @@ def test_cli_case(case, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     expected = expected_output(case, lambda name: run_case(capsys, CASES[name]).output)
     assert problems(case, run_case(capsys, case), expected) == []
+
+
+def test_help_carries_the_readme_usage_and_every_mode(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    with open(README, encoding="utf-8") as f:
+        usage = f.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    assert [line for line in usage.splitlines() if line not in out] == []
+    *modes, last = [mode.value for mode in Mode]
+    assert f"MODE is {', '.join(modes)} or {last}." in " ".join(out.split())
 
 
 def test_config_file_not_utf8_is_a_config_error(tmp_path):
@@ -210,6 +221,12 @@ SUMMARY = re.compile(r"wrote (\d+) rows to .+; shannon_rate_bps min=(\S+) max=(\
 MALFORMED = st.sampled_from(["no_equals_sign", "bogus_key=1"]) | st.builds(
     "{}={}".format, st.sampled_from(sorted(ALL_PARSERS)), st.sampled_from(["", "x", "1.5", "1,,2", "maybe"])
 )
+# Words that end a line badly: a malformed --set, an unknown or abbreviated option, or an option with no value.
+OPTIONS = ["--sett", "--ou", "--set", "--config", "--mode", "--out", "--workers", "--bandwidth-mhz"]
+MALFORMED_WORDS = MALFORMED.map(lambda pair: ["--set", pair]) | st.sampled_from(OPTIONS).map(lambda option: [option])
+# bands queries: any float, negative and infinite ones included, band letters in either case, and junk.
+LETTERS = sorted({*BAND_LETTERS, *map(str.lower, BAND_LETTERS)})
+QUERIES = st.floats().map(repr) | st.sampled_from(LETTERS) | st.text(max_size=3)
 
 
 def printable(value: str) -> bool:
@@ -226,24 +243,33 @@ def set_arg(key: str, value) -> str:
     return f"{key}={value.value if isinstance(value, Enum) else repr(value)}"
 
 
-# Every input a config file or --set reaches ends in exit 0 with finite printed values, or in one error line.
+# Every input a config file, --set or the command line reaches ends in exit 0 with finite printed values,
+# or in one error line.
 @settings(max_examples=100, deadline=None)
 @given(
-    command=st.sampled_from(["simulate", "sweep"]),
+    command=st.sampled_from(["simulate", "sweep", "bands"]),
     values=config_values(),
     dropped=st.sets(st.sampled_from(sorted(ALL_PARSERS))),
     mode=st.none() | st.sampled_from([*(m.value for m in Mode), " radar_monostatic", "bogus"]),
     mode_flag=st.booleans(),
-    malformed=st.lists(MALFORMED, max_size=1),
+    malformed=st.lists(MALFORMED_WORDS, max_size=1),
+    query=QUERIES,
+    bandwidth=st.none() | st.floats().map(repr) | st.just("x"),
 )
-def test_every_cli_input_evaluates_or_prints_one_error_line(command, values, dropped, mode, mode_flag, malformed):
-    pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped] + malformed
-    args = [arg for pair in pairs for arg in ("--set", pair)]
-    if mode is not None:
-        args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
+def test_every_cli_input_evaluates_or_prints_one_error_line(
+    command, values, dropped, mode, mode_flag, malformed, query, bandwidth
+):
+    if command == "bands":
+        args = [query] + ([] if bandwidth is None else ["--bandwidth-mhz", bandwidth])
+    else:
+        pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped]
+        args = [arg for pair in pairs for arg in ("--set", pair)]
+        if mode is not None:
+            args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
     with tempfile.TemporaryDirectory() as directory:
         out_csv = os.path.join(directory, "out.csv")
         argv = [command, *args] + (["--out", out_csv] if command == "sweep" else [])
+        argv += [word for words in malformed for word in words]
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(argv)
@@ -258,6 +284,9 @@ def test_every_cli_input_evaluates_or_prints_one_error_line(command, values, dro
         assert stdout == "" and csv_lines is None
         return
     assert stderr == ""
+    if command == "bands":
+        assert stdout
+        return
     if command == "simulate":
         sections = {}
         for line in stdout.splitlines():

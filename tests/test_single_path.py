@@ -136,7 +136,9 @@ def test_package_import_loads_no_registry_json_or_pathlib():
     assert "jcaslink.spectrum" in modules_after("import jcaslink\njcaslink.check_jcas_pairing")
     cli_loaded = modules_after("import jcaslink.cli")
     assert "jcaslink.spectrum" in cli_loaded
-    assert cli_loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources", "pathlib"})
+    assert cli_loaded.isdisjoint(
+        {"dataclasses", "inspect", "importlib.resources", "pathlib", "argparse", "gettext", "re"}
+    )
 
 
 def test_package_import_compiles_no_source():
