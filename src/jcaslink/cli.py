@@ -1,15 +1,4 @@
-"""Command-line entry point: single-point evaluation, power/element sweeps,
-and band-registry queries.
-
-    jcaslink simulate [--config FILE] [--set KEY=VALUE ...] [--mode MODE]
-    jcaslink sweep    [--config FILE] [--set KEY=VALUE ...] [--mode MODE] --out FILE [--workers N]
-    jcaslink bands    QUERY [--bandwidth-mhz F]
-
-An option takes its value as the next word or after '=', and is never
-abbreviated. MODE is comm, radar_bistatic, radar_monostatic or all. QUERY, a
-frequency in GHz or a band letter, may begin with '-'. Exit codes: 0 success,
-1 domain or output-file error, 2 configuration error.
-"""
+"""Command-line entry point. Its help text is HELP, a constant that ``python -OO`` keeps."""
 
 import sys
 
@@ -101,13 +90,23 @@ def _print_band_letter(query: str) -> int:
     letter = canonical.get(query.lower())
     if letter is None:
         raise DomainError(f"unknown band letter {query!r}")
-    matches = [r for r in spectrum.default_registry() if r.band_letter == letter]
-    for record in matches:
-        print(f"{record.service.value} {letter} {_format_range_ghz(record)}  {record.notes}")
-    if not matches:
-        print(f"no registry entries for band {letter}")
+    for record in spectrum.default_registry():
+        if record.band_letter == letter:
+            print(f"{record.service.value} {letter} {_format_range_ghz(record)}  {record.notes}")
     return 0
 
+
+HELP = """Command-line entry point: single-point evaluation, power/element sweeps,
+and band-registry queries.
+
+    jcaslink simulate [--config FILE] [--set KEY=VALUE ...] [--mode MODE]
+    jcaslink sweep    [--config FILE] [--set KEY=VALUE ...] [--mode MODE] --out FILE [--workers N]
+    jcaslink bands    QUERY [--bandwidth-mhz F]
+
+An option takes its value as the next word or after '=', and is never
+abbreviated. MODE is comm, radar_bistatic, radar_monostatic or all. QUERY, a
+frequency in GHz or a band letter, may begin with '-'. Exit codes: 0 success,
+1 domain or output-file error, 2 configuration error."""
 
 _REQUIRED = object()  # the default of an option or positional word that must be given
 _INPUTS = {"--config": None, "--set": [], "--mode": None}
@@ -152,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         if "-h" in argv or "--help" in argv or argv == ["--version"]:
-            print(f"jcaslink {__version__}" if argv == ["--version"] else (__doc__ or "").strip())  # None under -OO
+            print(f"jcaslink {__version__}" if argv == ["--version"] else HELP)
             return 0
         handler, options = parse_args(argv)
         return handler(options)

@@ -9,7 +9,7 @@ Omitted keys keep the reference-scenario defaults.
 import os
 from enum import EnumMeta
 
-from .errors import ConfigError
+from .errors import ConfigError, parse_lines, read_text
 from .linkbudget import Scenario
 from .records import fields
 from .sweep import SweepSpec
@@ -77,27 +77,12 @@ def _parse_assignment(text: str) -> tuple[str, object]:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse a config document, whose lines end at ``\\n`` only, into a key -> typed-value dict."""
-    values = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            key, value = _parse_assignment(line)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        values[key] = value
-    return values
+    """Parse a config document into a key -> typed-value dict; a later assignment wins."""
+    return dict(parse_lines(text, _parse_assignment, ConfigError))
 
 
 def parse_config_file(path: str | os.PathLike) -> dict:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text)
+    return parse_config_text(read_text(path, "config file", ConfigError))
 
 
 def parse_overrides(pairs: list[str]) -> dict:

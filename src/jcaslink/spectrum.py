@@ -22,7 +22,7 @@ import os
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, parse_lines, read_text
 from .records import record
 
 BAND_LETTERS = frozenset({"L", "S", "C", "X", "Ku", "K", "Ka", "Q-V", "P", "W", "G"})
@@ -110,26 +110,14 @@ def format_record(record: BandRecord) -> str:
 def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ...]:
     """Load band records from ``path``, or the packaged database by default.
 
-    Lines that are blank or start with ``#`` are ignored. A malformed record,
-    or a file that is not UTF-8, raises DomainError naming the line or path.
+    The file is read as a config document is (``errors.read_text`` and
+    ``errors.parse_lines``). A malformed record, or a file that cannot be read
+    as UTF-8, raises DomainError naming the line or path.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "bands.txt")
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"cannot read band database {path}: {exc}") from None
-    records = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            records.append(parse_record(line))
-        except (DomainError, ValueError) as exc:
-            raise DomainError(f"band database line {lineno}: {exc}") from None
-    return tuple(records)
+    text = read_text(path, "band database", DomainError)
+    return tuple(parse_lines(text, parse_record, DomainError, "band database "))
 
 
 def dump_registry(records: tuple[BandRecord, ...], path: str | os.PathLike) -> None:

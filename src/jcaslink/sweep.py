@@ -86,10 +86,10 @@ class SweepSpec:
             if n < 1:
                 raise DomainError("element_axis values must be >= 1")
             check_printable("element_axis values", n)
-        for name in ("power_axis_dbw", "element_axis"):
-            axis = getattr(self, name)
-            if len(set(axis)) != len(axis):
-                raise DomainError(f"{name} values must be distinct")
+        if len({format_value(p) for p in self.power_axis_dbw}) != len(self.power_axis_dbw):
+            raise DomainError("power_axis_dbw values must be distinct at 9 significant digits")
+        if len(set(self.element_axis)) != len(self.element_axis):
+            raise DomainError("element_axis values must be distinct")
 
 
 @record(slots=True)
@@ -248,14 +248,12 @@ def emit_csv(table: ResultTable, destination: str | os.PathLike) -> None:
     endings. Re-emission is byte-identical. The body is one bytes %-format
     over the columns interleaved by slice into one list; the seven float
     cells take FLOAT_SPEC, and each axis value goes through format_value
-    once. Powers that print alike are a DomainError, raised before the file
-    is opened."""
+    once. SweepSpec has rejected powers that print alike, so the one error
+    is an OSError from writing the file."""
     mode = Mode(table.metadata["mode"])
     link, perf = table.link, table.perf
     single, integrated = _RADAR_SNRS[mode]
     powers = [format_value(p).encode() for p in table.powers]
-    if len(set(powers)) != len(powers):
-        raise DomainError("power_axis_dbw values must be distinct at 9 significant digits")
     elements = [format_value(n).encode() for n in table.elements]
     columns = (
         [cell for cell in elements for _ in powers], powers * len(elements),

@@ -1,8 +1,9 @@
 """Run every case of tests/data/cli_cases.txt in fresh interpreters, under
-PYTHONHASHSEED=0, PYTHONHASHSEED=1 and ``python -S`` (without ``site``,
-whose .pth files may preload what the lazy imports skip), each in a new
-empty directory. A case fails when its exit code, stdout, stderr or output
-differs between the three runs or from the table. Standard library only:
+PYTHONHASHSEED=0, PYTHONHASHSEED=1, ``python -S`` (without ``site``, whose
+.pth files may preload what the lazy imports skip) and ``python -OO``
+(without docstrings or asserts), each in a new empty directory. A case fails
+when its exit code, stdout, stderr or output differs between the four runs
+or from the table. Standard library only:
 
     python tests/cli_matrix.py
 
@@ -25,7 +26,12 @@ Case = namedtuple("Case", "name code argv stderr fixture same_as")
 # output is the CSV a sweep wrote (None if it wrote none), or else stdout; all bytes.
 # written names every file the run left in its directory.
 Result = namedtuple("Result", "code stdout stderr output written")
-RUNS = {"PYTHONHASHSEED=0": ((), "0"), "PYTHONHASHSEED=1": ((), "1"), "python -S": (("-S",), None)}
+RUNS = {
+    "PYTHONHASHSEED=0": ((), "0"),
+    "PYTHONHASHSEED=1": ((), "1"),
+    "python -S": (("-S",), None),
+    "python -OO": (("-OO",), None),
+}
 
 
 def read_cases() -> dict:

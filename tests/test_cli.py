@@ -17,10 +17,11 @@ from jcaslink.cli import main
 from jcaslink.config import ALL_PARSERS, parse_config_file, parse_config_text, parse_overrides
 from jcaslink.errors import ConfigError, DomainError
 from jcaslink.linkbudget import ArrayGainModel
+from jcaslink.records import asdict
 from jcaslink.spectrum import BAND_LETTERS, load_registry
 from jcaslink.sweep import CSV_COLUMNS, Mode
 from jcaslink.waveform import TonePlacement
-from test_single_path import config_values, fresh_python
+from test_single_path import config_values, fresh_python, scenarios
 
 CASES = read_cases()
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -62,6 +63,8 @@ def test_cli_case(case, capsys, monkeypatch, tmp_path):
 def test_help_carries_the_readme_usage_and_every_mode(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (0, "")
+    optimized = fresh_python("-OO", "-m", "jcaslink.cli", "--help")  # -OO strips docstrings, not the help text
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (0, out, "")
     with open(README, encoding="utf-8") as f:
         usage = f.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
     assert [line for line in usage.splitlines() if line not in out] == []
@@ -243,50 +246,31 @@ def set_arg(key: str, value) -> str:
     return f"{key}={value.value if isinstance(value, Enum) else repr(value)}"
 
 
-# Every input a config file, --set or the command line reaches ends in exit 0 with finite printed values,
-# or in one error line.
-@settings(max_examples=100, deadline=None)
-@given(
-    command=st.sampled_from(["simulate", "sweep", "bands"]),
-    values=config_values(),
-    dropped=st.sets(st.sampled_from(sorted(ALL_PARSERS))),
-    mode=st.none() | st.sampled_from([*(m.value for m in Mode), " radar_monostatic", "bogus"]),
-    mode_flag=st.booleans(),
-    malformed=st.lists(MALFORMED_WORDS, max_size=1),
-    query=QUERIES,
-    bandwidth=st.none() | st.floats().map(repr) | st.just("x"),
-)
-def test_every_cli_input_evaluates_or_prints_one_error_line(
-    command, values, dropped, mode, mode_flag, malformed, query, bandwidth
-):
-    if command == "bands":
-        args = [query] + ([] if bandwidth is None else ["--bandwidth-mhz", bandwidth])
-    else:
-        pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped]
-        args = [arg for pair in pairs for arg in ("--set", pair)]
-        if mode is not None:
-            args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
-    with tempfile.TemporaryDirectory() as directory:
-        out_csv = os.path.join(directory, "out.csv")
-        argv = [command, *args] + (["--out", out_csv] if command == "sweep" else [])
-        argv += [word for words in malformed for word in words]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(argv)
-        stdout, stderr = stdout.getvalue(), stderr.getvalue()
-        csv_lines = None
-        if os.path.exists(out_csv):
-            with open(out_csv, encoding="utf-8") as f:
-                csv_lines = f.read().splitlines()
+def run_main(argv: list, out_csv: str) -> tuple:
+    """main(argv) in process: its exit code, stdout, stderr and the CSV at
+    out_csv as bytes (None if it wrote none), which is then removed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    csv_bytes = None
+    if os.path.exists(out_csv):
+        with open(out_csv, "rb") as f:
+            csv_bytes = f.read()
+        os.remove(out_csv)
+    return code, stdout.getvalue(), stderr.getvalue(), csv_bytes
+
+
+def check_outcome(command: str, code: int, stdout: str, stderr: str, csv_bytes: bytes | None) -> list:
+    """Exit 0 with finite printed values, or one error line; the dB terms of a success."""
     assert code in (0, 1, 2)
     if code:
         assert re.fullmatch(rf"error\[{'config' if code == 2 else 'domain'}\]: [^\n]+\n", stderr), stderr
-        assert stdout == "" and csv_lines is None
-        return
+        assert stdout == "" and csv_bytes is None
+        return []
     assert stderr == ""
     if command == "bands":
         assert stdout
-        return
+        return []
     if command == "simulate":
         sections = {}
         for line in stdout.splitlines():
@@ -297,14 +281,93 @@ def test_every_cli_input_evaluates_or_prints_one_error_line(
                 ledger[key] = value
         assert [value for ledger in sections.values() for value in ledger.values() if not printable(value)] == []
         budget = sections["link budget"]
-        db_terms = [float(value) for key, value in budget.items() if key.endswith(("_db", "_dbw"))]
+        return [float(value) for key, value in budget.items() if key.endswith(("_db", "_dbw"))]
+    summary = SUMMARY.fullmatch(stdout)
+    assert summary and all(map(printable, summary.groups()))
+    body = [line for line in csv_bytes.decode("utf-8").splitlines() if not line.startswith("#")]
+    assert body[0] == ",".join(CSV_COLUMNS) and len(body) == 1 + int(summary[1])
+    rows = [row.split(",") for row in body[1:]]
+    assert [cell for row in rows for cell in row if not printable(cell)] == []
+    return [float(row[k]) for row in rows for k, name in enumerate(CSV_COLUMNS) if name.endswith("_db")]
+
+
+# Every input a config file, --set or the command line reaches ends in exit 0 with finite printed values,
+# or in one error line. Each drawn value set runs as both simulate and sweep: with one command drawn per
+# example, target() steered the search toward whichever command succeeded first, and a sweep seldom exited 0.
+@settings(max_examples=100, deadline=None)
+@given(
+    bands=st.booleans(),
+    values=config_values(),
+    dropped=st.sets(st.sampled_from(sorted(ALL_PARSERS))),
+    mode=st.none() | st.sampled_from([*(m.value for m in Mode), " radar_monostatic", "bogus"]),
+    mode_flag=st.booleans(),
+    malformed=st.lists(MALFORMED_WORDS, max_size=1),
+    query=QUERIES,
+    bandwidth=st.none() | st.floats().map(repr) | st.just("x"),
+)
+def test_every_cli_input_evaluates_or_prints_one_error_line(
+    bands, values, dropped, mode, mode_flag, malformed, query, bandwidth
+):
+    if bands:
+        commands = {"bands": [query] + ([] if bandwidth is None else ["--bandwidth-mhz", bandwidth])}
     else:
-        summary = SUMMARY.fullmatch(stdout)
-        assert summary and all(map(printable, summary.groups()))
-        body = [line for line in csv_lines if not line.startswith("#")]
-        assert body[0] == ",".join(CSV_COLUMNS) and len(body) == 1 + int(summary[1])
-        rows = [row.split(",") for row in body[1:]]
-        assert [cell for row in rows for cell in row if not printable(cell)] == []
-        db_terms = [float(row[k]) for row in rows for k, name in enumerate(CSV_COLUMNS) if name.endswith("_db")]
+        pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped]
+        args = [arg for pair in pairs for arg in ("--set", pair)]
+        if mode is not None:
+            args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
+        commands = {"simulate": args, "sweep": args}
+    db_terms = []
+    with tempfile.TemporaryDirectory() as directory:
+        out_csv = os.path.join(directory, "out.csv")
+        for command, args in commands.items():
+            argv = [command, *args] + (["--out", out_csv] if command == "sweep" else [])
+            argv += [word for words in malformed for word in words]
+            db_terms += check_outcome(command, *run_main(argv, out_csv))
     # Steer the search toward the overflow and underflow edges of the budget.
-    target(max(map(abs, db_terms)), label="max |dB|")
+    if db_terms:
+        target(max(map(abs, db_terms)), label="max |dB|")
+
+
+# What a config document may hold around its assignments: blank lines, comments, among them comments
+# that hold a form feed or a line separator, which end no line, and spacing around the '='.
+FILLERS = ("", "  \t", "# comment", "  # n_sense = 0", "# a\fn_sense = 0", "# a\u2028n_sense = 0")
+SPACES = ("", " ", "  ", "\t")
+
+
+# A config document means what the same assignments mean as --set words, in the same order; a line that
+# does not parse gives the --set error text after 'line N: ', where N - 1 is the count of '\n' before it.
+# Most config_values() draws fail a domain check, so in-range scenarios are drawn too, to compare ledgers.
+@settings(max_examples=50, deadline=None)
+@given(
+    values=config_values() | scenarios().map(asdict),
+    malformed=st.none() | MALFORMED,
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    layout=st.randoms(use_true_random=True),
+)
+def test_a_config_document_means_what_its_assignments_mean_as_set_words(values, malformed, bom, newline, layout):
+    pairs = [set_arg(key, value).partition("=")[::2] for key, value in values.items()]
+    if malformed is not None:
+        pairs.insert(layout.randint(0, len(pairs)), (malformed, None))
+    document, set_words, bad_line = "", [], None
+    for key, value in pairs:
+        document += "".join(line + newline for line in layout.choices(FILLERS, k=layout.randint(0, 2)))
+        if value is None:
+            bad_line = document.count("\n") + 1
+            line, word = layout.choice(SPACES) + key, key
+        else:
+            spaces = layout.choices(SPACES, k=4)
+            line, word = "".join([spaces[0], key, spaces[1], "=", spaces[2], value, spaces[3]]), f"{key}={value}"
+        document += line + newline
+        set_words += ["--set", word]
+    with tempfile.TemporaryDirectory() as directory:
+        config, out_csv = os.path.join(directory, "doc.cfg"), os.path.join(directory, "out.csv")
+        with open(config, "w", encoding="utf-8-sig" if bom else "utf-8", newline="") as f:
+            f.write(document)
+        for command in ("simulate", "sweep"):
+            out = ["--out", out_csv] if command == "sweep" else []
+            by_set = run_main([command, *set_words, *out], out_csv)
+            by_config = run_main([command, "--config", config, *out], out_csv)
+            if bad_line is not None and by_set[0] == 2:
+                by_set = (2, "", by_set[2].replace("error[config]: ", f"error[config]: line {bad_line}: ", 1), None)
+            assert by_config == by_set

@@ -157,6 +157,21 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_registry(bad)
 
 
+# The band database is read as a config document is: a byte-order mark, CRLF endings and a comment
+# holding a form feed or a line separator, which ends no line, all leave the records as they are.
+def test_database_reading_rules_match_the_config_reader(tmp_path):
+    plain, styled = tmp_path / "plain.txt", tmp_path / "styled.txt"
+    dump_registry(default_registry(), plain)
+    text = plain.read_text(encoding="utf-8")
+    styled.write_bytes(b"\xef\xbb\xbf" + ("# a\fb\n# c\u2028d\n\n" + text).replace("\n", "\r\n").encode())
+    assert load_registry(styled) == load_registry(plain) == default_registry()
+
+
+def test_missing_database_is_a_domain_error(tmp_path):
+    with pytest.raises(DomainError, match=r"^cannot read band database .*missing.txt: \[Errno 2\]"):
+        load_registry(tmp_path / "missing.txt")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
