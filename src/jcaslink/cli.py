@@ -4,25 +4,25 @@ import sys
 
 from . import spectrum
 from ._version import __version__
-from .config import effective_values, scenario_from_values, sweep_spec_from_values
+from .config import effective_values, sweep_spec_from_values
 from .errors import ConfigError, DomainError
 from .linkbudget import user_link_doppler
 from .records import asdict
-from .sweep import Mode, emit_csv, format_value, run_point, run_sweep
+from .sweep import SweepSpec, emit_csv, format_value, run_point, run_sweep
 
 _GHZ = 1e9
 
 
-def _values(options: dict) -> dict:
+def _spec(options: dict) -> SweepSpec:
     """Defaults, then the config file, then each --set in order, then --mode as one last --set."""
-    overrides, mode = options["--set"], options["--mode"]
-    return effective_values(options["--config"], overrides if mode is None else [*overrides, f"mode={mode}"])
+    mode = options["--mode"]
+    overrides = options["--set"] if mode is None else [*options["--set"], f"mode={mode}"]
+    return sweep_spec_from_values(effective_values(options["--config"], overrides))
 
 
 def _cmd_simulate(options: dict) -> int:
-    values = _values(options)
-    scenario = scenario_from_values(values)
-    mode = values.get("mode", Mode.ALL)
+    spec = _spec(options)
+    scenario, mode = spec.base, spec.mode
     link, perf = run_point(scenario, mode)
 
     speed, shift, applied = user_link_doppler(scenario, link.implied_altitude_diag_km)
@@ -46,7 +46,7 @@ def _cmd_simulate(options: dict) -> int:
 
 
 def _cmd_sweep(options: dict) -> int:
-    spec = sweep_spec_from_values(_values(options))
+    spec = _spec(options)
     table = run_sweep(spec, workers=options["--workers"])
     emit_csv(table, options["--out"])
 

@@ -2,8 +2,9 @@
 
 A document is one ``key = value`` assignment per line with ``#`` comment
 lines; keys mirror the Scenario and SweepSpec field names. Parsing is
-total: every document yields a value dict or a line-numbered ConfigError.
-Omitted keys keep the reference-scenario defaults.
+total: every document yields a value dict or a ConfigError, line-numbered
+for a line that does not parse and ``cannot read config file ...`` for a
+file that cannot be read. Omitted keys keep the reference-scenario defaults.
 """
 
 import os
@@ -81,27 +82,13 @@ def parse_config_text(text: str) -> dict:
     return dict(parse_lines(text, _parse_assignment, ConfigError))
 
 
-def parse_config_file(path: str | os.PathLike) -> dict:
-    return parse_config_text(read_text(path, "config file", ConfigError))
-
-
-def parse_overrides(pairs: list[str]) -> dict:
-    """Parse repeated ``key=value`` overrides (no line numbers); a later one wins."""
-    return dict(map(_parse_assignment, pairs))
-
-
 def effective_values(config_path: str | os.PathLike | None, overrides: list[str]) -> dict:
     """Merge precedence: overrides, in order, beat config-file values beat defaults."""
-    values = {} if config_path is None else parse_config_file(config_path)
-    values.update(parse_overrides(overrides))
+    values = {} if config_path is None else parse_config_text(read_text(config_path, "config file", ConfigError))
+    values.update(map(_parse_assignment, overrides))
     return values
 
 
-def scenario_from_values(values: dict) -> Scenario:
-    kwargs = {key: value for key, value in values.items() if key in SCENARIO_PARSERS}
-    return Scenario(**kwargs)
-
-
 def sweep_spec_from_values(values: dict) -> SweepSpec:
-    kwargs = {key: value for key, value in values.items() if key in SWEEP_PARSERS}
-    return SweepSpec(base=scenario_from_values(values), **kwargs)
+    base = Scenario(**{key: value for key, value in values.items() if key in SCENARIO_PARSERS})
+    return SweepSpec(base, **{key: value for key, value in values.items() if key in SWEEP_PARSERS})

@@ -14,8 +14,8 @@ class PartitionOverflowError(DomainError):
 
 
 class ConfigError(ValueError):
-    """A configuration document or override cannot be parsed; the message of
-    one from a config file starts with its 1-based ``line N: ``."""
+    """A configuration document or override cannot be read or parsed; the message
+    of a config-file line that does not parse starts with its 1-based ``line N: ``."""
 
 
 def no_overflow(value: float, name: str) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cli_matrix import expected_output, problems, read_cases, result
 from jcaslink.cli import main
-from jcaslink.config import ALL_PARSERS, parse_config_file, parse_config_text, parse_overrides
+from jcaslink.config import ALL_PARSERS, effective_values, parse_config_text
 from jcaslink.errors import ConfigError, DomainError
 from jcaslink.linkbudget import ArrayGainModel
 from jcaslink.records import asdict
@@ -76,7 +76,7 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_bytes(NOT_UTF8)
     with pytest.raises(ConfigError, match="cannot read config file .*bad.cfg: 'utf-8' codec can't decode"):
-        parse_config_file(config)
+        effective_values(config, [])
 
 
 def test_band_database_not_utf8_is_a_domain_error(tmp_path):
@@ -89,7 +89,7 @@ def test_band_database_not_utf8_is_a_domain_error(tmp_path):
 def test_config_file_path_may_be_str_or_pathlike(tmp_path):
     config = tmp_path / "ok.cfg"
     config.write_text("# comment\nn_sense = 10\n", encoding="utf-8")
-    assert parse_config_file(config) == parse_config_file(str(config)) == {"n_sense": 10}
+    assert effective_values(config, []) == effective_values(str(config), []) == {"n_sense": 10}
 
 
 ENUM_CHOICES = {
@@ -107,7 +107,7 @@ def test_enum_config_error_lists_the_choices(key, value):
     with pytest.raises(ConfigError, match=f"^line 2: {re.escape(message)}$"):
         parse_config_text(f"# enum\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        parse_overrides([f"{key}={value}"])
+        effective_values(None, [f"{key}={value}"])
 
 
 class TestSimulate:
@@ -230,6 +230,15 @@ MALFORMED_WORDS = MALFORMED.map(lambda pair: ["--set", pair]) | st.sampled_from(
 # bands queries: any float, negative and infinite ones included, band letters in either case, and junk.
 LETTERS = sorted({*BAND_LETTERS, *map(str.lower, BAND_LETTERS)})
 QUERIES = st.floats().map(repr) | st.sampled_from(LETTERS) | st.text(max_size=3)
+# Sweep axes, as --set values: mostly valid, with repeats, zeros, nan and powers that print alike.
+POWERS = st.floats(-30.0, 40.0) | st.sampled_from([0.0, math.nan, 1.0000000001, 1.0000000002])
+AXES = st.fixed_dictionaries(
+    {},
+    optional={
+        "power_axis_dbw": st.lists(POWERS, min_size=1, max_size=3),
+        "element_axis": st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    },
+)
 
 
 def printable(value: str) -> bool:
@@ -294,10 +303,16 @@ def check_outcome(command: str, code: int, stdout: str, stderr: str, csv_bytes: 
 # Every input a config file, --set or the command line reaches ends in exit 0 with finite printed values,
 # or in one error line. Each drawn value set runs as both simulate and sweep: with one command drawn per
 # example, target() steered the search toward whichever command succeeded first, and a sweep seldom exited 0.
+# target() follows the sweep's dB terms only, and in-range scenarios are drawn too: steered by simulate's
+# terms as well, or drawn from config_values() alone, the search settled in up to half the runs on inputs
+# that only simulate evaluates, and the sweep then exited 0 in under 10 of 100 examples.
+# Both commands build one SweepSpec from the same words, so an input that sweep rejects before it evaluates
+# a grid point (a domain error that names no grid point) simulate rejects with the same line.
 @settings(max_examples=100, deadline=None)
 @given(
     bands=st.booleans(),
-    values=config_values(),
+    values=config_values() | scenarios().map(asdict),
+    axes=AXES,
     dropped=st.sets(st.sampled_from(sorted(ALL_PARSERS))),
     mode=st.none() | st.sampled_from([*(m.value for m in Mode), " radar_monostatic", "bogus"]),
     mode_flag=st.booleans(),
@@ -306,26 +321,31 @@ def check_outcome(command: str, code: int, stdout: str, stderr: str, csv_bytes: 
     bandwidth=st.none() | st.floats().map(repr) | st.just("x"),
 )
 def test_every_cli_input_evaluates_or_prints_one_error_line(
-    bands, values, dropped, mode, mode_flag, malformed, query, bandwidth
+    bands, values, axes, dropped, mode, mode_flag, malformed, query, bandwidth
 ):
     if bands:
         commands = {"bands": [query] + ([] if bandwidth is None else ["--bandwidth-mhz", bandwidth])}
     else:
         pairs = [set_arg(key, value) for key, value in values.items() if key not in dropped]
+        pairs += [f"{key}={','.join(map(repr, axis))}" for key, axis in axes.items()]
         args = [arg for pair in pairs for arg in ("--set", pair)]
         if mode is not None:
             args += ["--mode", mode] if mode_flag else ["--set", f"mode={mode}"]
         commands = {"simulate": args, "sweep": args}
-    db_terms = []
+    outcomes = {}
     with tempfile.TemporaryDirectory() as directory:
         out_csv = os.path.join(directory, "out.csv")
         for command, args in commands.items():
             argv = [command, *args] + (["--out", out_csv] if command == "sweep" else [])
             argv += [word for words in malformed for word in words]
-            db_terms += check_outcome(command, *run_main(argv, out_csv))
-    # Steer the search toward the overflow and underflow edges of the budget.
-    if db_terms:
-        target(max(map(abs, db_terms)), label="max |dB|")
+            outcomes[command] = run_main(argv, out_csv)
+            db_terms = check_outcome(command, *outcomes[command])
+            # Steer the search toward the overflow and underflow edges of the sweep's budget.
+            if command == "sweep" and db_terms:
+                target(max(map(abs, db_terms)), label="max |dB|")
+    swept = outcomes.get("sweep")
+    if swept and swept[0] == 1 and swept[2].startswith("error[domain]: ") and "grid point" not in swept[2]:
+        assert outcomes["simulate"][:3] == swept[:3]
 
 
 # What a config document may hold around its assignments: blank lines, comments, among them comments

@@ -28,7 +28,7 @@ import pytest
 
 from cli_matrix import read_cases, run
 from jcaslink.cli import main
-from jcaslink.config import parse_overrides, sweep_spec_from_values
+from jcaslink.config import effective_values, sweep_spec_from_values
 from jcaslink.errors import DomainError
 from jcaslink.records import asdict
 from jcaslink.spectrum import BAND_LETTERS
@@ -106,7 +106,7 @@ def varied_overrides(count: int) -> list:
 
 
 def full_precision_rows(overrides) -> list:
-    table = run_sweep(sweep_spec_from_values(parse_overrides(list(overrides))))
+    table = run_sweep(sweep_spec_from_values(effective_values(None, list(overrides))))
     return [[row.n_elements, row.tx_power_dbw, *asdict(row.link).values(), *asdict(row.perf).values()] for row in table.rows]
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 import jcaslink
-from jcaslink import geometry, linkbudget, performance, spectrum, sweep
+from jcaslink import config, geometry, linkbudget, performance, spectrum, sweep
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.records import fields, replace
@@ -154,7 +154,7 @@ print(sum(calls))"""
     assert result.stdout.split() == ["0"]
 
 
-# Second entry points deleted in favour of run_point and the stage functions.
+# Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values.
 @pytest.mark.parametrize(
     "module,name",
     [
@@ -176,6 +176,9 @@ print(sum(calls))"""
         (sweep, "radar_snrs"),
         (spectrum.BandRecord, "contains_hz"),
         (spectrum.BandRecord, "overlaps_hz"),
+        (config, "parse_config_file"),
+        (config, "parse_overrides"),
+        (config, "scenario_from_values"),
     ],
 )
 def test_deleted_entry_point_is_gone(module, name):
