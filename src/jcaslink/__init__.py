@@ -7,7 +7,7 @@ of satellite communication and spaceborne-radar frequency allocations.
 """
 
 from ._version import __version__
-from .errors import ConfigError, DomainError, PartitionOverflowError
+from .errors import ConfigError, DomainError
 from .geometry import doppler_shift, implied_altitude, orbital_speed
 from .linkbudget import (
     ArrayGainModel,
@@ -40,7 +40,6 @@ __all__ = [
     "OfdmNumerology",
     "PairingReport",
     "PairingVerdict",
-    "PartitionOverflowError",
     "PerformanceResult",
     "ResultTable",
     "Scenario",

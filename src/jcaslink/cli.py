@@ -167,4 +167,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # untraced: runs only as python -m jcaslink.cli, which the tests start in a new process

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An input violates an operation's physical or numerical domain."""
 
 
-class PartitionOverflowError(DomainError):
-    """Requested data + sensing subcarriers exceed the total available."""
-
-
 class ConfigError(ValueError):
     """A configuration document or override cannot be read or parsed; the message
     of a config-file line that does not parse starts with its 1-based ``line N: ``."""

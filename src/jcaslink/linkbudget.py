@@ -114,16 +114,6 @@ class Scenario:
             elif value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
 
-    @property
-    def comm_rx_gain_dbi(self) -> float:
-        g = self.rx_gain_comm_dbi
-        return self.rx_gain_dbi if g is None else g
-
-    @property
-    def sense_rx_gain_dbi(self) -> float:
-        g = self.rx_gain_sense_dbi
-        return self.rx_gain_dbi if g is None else g
-
 
 # In declaration order: every (field, type), and the float, optional-float and int fields.
 _SCENARIO_TYPES = tuple((f.name, f.type) for f in fields(Scenario))
@@ -274,7 +264,8 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     again (monostatic)."""
     fspl = fspl_db(s.carrier_hz, s.d_sat_user_km * 1000.0)
     noise_comm = noise_power_dbw(s.noise_temp_k, s.bandwidth_hz)
-    comm_rx_gain, sense_rx_gain = s.comm_rx_gain_dbi, s.sense_rx_gain_dbi
+    comm_rx_gain = s.rx_gain_dbi if s.rx_gain_comm_dbi is None else s.rx_gain_comm_dbi
+    sense_rx_gain = s.rx_gain_dbi if s.rx_gain_sense_dbi is None else s.rx_gain_sense_dbi
     if plan.n_sense < 1:
         raise DomainError("radar budget needs n_sense >= 1")
     sense_fraction = 10.0 * math.log10(plan.sense_fraction)

@@ -95,18 +95,6 @@ def parse_record(line: str) -> BandRecord:
     return BandRecord(service, letter, int(low_raw), int(high_raw), notes)
 
 
-def format_record(record: BandRecord) -> str:
-    return "|".join(
-        (
-            record.service.value,
-            record.band_letter,
-            str(record.freq_low_hz),
-            str(record.freq_high_hz),
-            record.notes,
-        )
-    )
-
-
 def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ...]:
     """Load band records from ``path``, or the packaged database by default.
 
@@ -123,7 +111,7 @@ def load_registry(path: str | os.PathLike | None = None) -> tuple[BandRecord, ..
 def dump_registry(records: tuple[BandRecord, ...], path: str | os.PathLike) -> None:
     """Write records back out in the canonical one-record-per-line format."""
     lines = ["# service|band_letter|low_hz|high_hz|notes"]
-    lines.extend(format_record(r) for r in records)
+    lines.extend(f"{r.service.value}|{r.band_letter}|{r.freq_low_hz}|{r.freq_high_hz}|{r.notes}" for r in records)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 

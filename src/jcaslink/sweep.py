@@ -86,7 +86,8 @@ class SweepSpec:
             if n < 1:
                 raise DomainError("element_axis values must be >= 1")
             check_printable("element_axis values", n)
-        if len({format_value(p) for p in self.power_axis_dbw}) != len(self.power_axis_dbw):
+        # p + 0.0 is 0.0 for -0.0: the two zeros are one power, though they print apart.
+        if len({format_value(p + 0.0) for p in self.power_axis_dbw}) != len(self.power_axis_dbw):
             raise DomainError("power_axis_dbw values must be distinct at 9 significant digits")
         if len(set(self.element_axis)) != len(self.element_axis):
             raise DomainError("element_axis values must be distinct")
@@ -210,7 +211,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
             for n in spec.element_axis:
                 for p in spec.power_axis_dbw:
                     grid((n,), (p,))
-            raise
+            raise  # untraced: each point repeats the grid's arithmetic, so one of them raises first
     except DomainError as exc:
         raise DomainError(f"grid point (n_elements={n}, tx_power_dbw={p}): {exc}") from None
     metadata = {

@@ -8,7 +8,7 @@ sensing tone set, which sets delay-estimation accuracy.
 import math
 from enum import Enum
 
-from .errors import DomainError, PartitionOverflowError, no_overflow
+from .errors import DomainError, no_overflow
 from .records import record
 
 
@@ -77,9 +77,7 @@ def partition(n_total: int, n_data: int, n_sense: int) -> SubcarrierPlan:
     if n_data < 0 or n_sense < 0:
         raise DomainError("subcarrier counts must be >= 0")
     if n_data + n_sense > n_total:
-        raise PartitionOverflowError(
-            f"n_data + n_sense = {n_data + n_sense} exceeds n_total = {n_total}"
-        )
+        raise DomainError(f"n_data + n_sense = {n_data + n_sense} exceeds n_total = {n_total}")
     return SubcarrierPlan(
         n_total=n_total,
         n_data=n_data,

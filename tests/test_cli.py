@@ -25,6 +25,7 @@ from test_single_path import config_values, fresh_python, scenarios
 
 CASES = read_cases()
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+PYPROJECT = os.path.join(os.path.dirname(README), "pyproject.toml")
 
 NOT_UTF8 = b"n_sense = 10\n\xff\xfe bad\n"
 
@@ -70,6 +71,13 @@ def test_help_carries_the_readme_usage_and_every_mode(capsys):
     assert [line for line in usage.splitlines() if line not in out] == []
     *modes, last = [mode.value for mode in Mode]
     assert f"MODE is {', '.join(modes)} or {last}." in " ".join(out.split())
+
+
+def test_version_matches_pyproject(capsys):
+    # A regex, not tomllib, which Python 3.10 lacks.
+    with open(PYPROJECT, encoding="utf-8") as f:
+        (declared,) = re.findall(r'^version = "([^"]+)"$', f.read(), re.MULTILINE)
+    assert run_cli(capsys, "--version") == (0, f"jcaslink {declared}\n", "")
 
 
 def test_config_file_not_utf8_is_a_config_error(tmp_path):

@@ -273,11 +273,25 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             Scenario(n_data=900, n_sense=300)
 
-    def test_rx_gain_overrides(self, ref):
-        assert ref.comm_rx_gain_dbi == ref.rx_gain_dbi == ref.sense_rx_gain_dbi
-        s = replace(ref, rx_gain_sense_dbi=20.0)
-        assert s.sense_rx_gain_dbi == 20.0
-        assert s.comm_rx_gain_dbi == 32.85
+    @pytest.mark.parametrize(
+        "override,leg",
+        [
+            ("rx_gain_comm_dbi", ("comm_snr_db",)),
+            ("rx_gain_sense_dbi", ("radar_rx_power_dbw", "radar_snr_single_db", "radar_snr_integrated_db")),
+        ],
+        ids=["comm", "sense"],
+    )
+    def test_rx_gain_overrides(self, ref, ref_plan, ref_num, override, leg):
+        # A per-leg override moves its own leg's columns as rx_gain_dbi would and leaves every other column.
+        columns = link_stage(ref, ref_plan, ref_num)((1, 4), (1.0, 9.0))
+        moved = link_stage(replace(ref, **{override: 20.0}), ref_plan, ref_num)((1, 4), (1.0, 9.0))
+        as_rx_gain = link_stage(replace(ref, rx_gain_dbi=20.0), ref_plan, ref_num)((1, 4), (1.0, 9.0))
+        for name, column in moved.items():
+            if name in leg:
+                assert column == as_rx_gain[name]
+                assert column == pytest.approx([v - 12.85 for v in columns[name]], abs=DB_TOL)
+            else:
+                assert column == columns[name], name
 
 
 class TestCommSnr:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 import jcaslink
-from jcaslink import config, geometry, linkbudget, performance, spectrum, sweep
+from jcaslink import config, errors, geometry, linkbudget, performance, spectrum, sweep
 from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.records import fields, replace
-from jcaslink.sweep import Mode, SweepSpec, run_point, run_sweep
+from jcaslink.sweep import Mode, SweepSpec, emit_csv, run_point, run_sweep
 from jcaslink.waveform import TonePlacement
 
 
@@ -72,6 +73,7 @@ def with_permutation(values):
     powers=((1.0, 9.0), (9.0, 1.0)),
     elements=((1, 16), (16, 1)),
 )
+@example(base=Scenario(), mode=Mode.COMM, powers=((-0.0, 1.0), (1.0, -0.0)), elements=((1,), (1,)))
 def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
     (powers, permuted_powers), (elements, permuted_elements) = powers, elements
     spec = SweepSpec(base=base, power_axis_dbw=tuple(sorted(powers)), element_axis=tuple(sorted(elements)), mode=mode)
@@ -81,6 +83,13 @@ def test_sweep_rows_are_run_point_results(base, mode, powers, elements):
         assert (row.link, row.perf) == run_point(s, mode)
     permuted = run_sweep(replace(spec, power_axis_dbw=permuted_powers, element_axis=permuted_elements))
     assert permuted.rows == table.rows
+    assert permuted.powers == table.powers
+    # Equal rows can still print apart (-0.0 == 0.0), so the CSV bytes are compared too.
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "sorted.csv"), Path(tmp, "permuted.csv")
+        emit_csv(table, first)
+        emit_csv(permuted, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("fault", [{"n_sense": 0}, {"t_integration_s": 0.0}])
@@ -92,8 +101,8 @@ def test_comm_snr_shares_the_link_stage_domain(fault):
 # A change to the public surface is a reviewed edit of this list.
 PUBLIC_NAMES = [
     "ArrayGainModel", "BandRecord", "ConfigError", "DomainError", "LinkResult", "Mode", "OfdmNumerology",
-    "PairingReport", "PairingVerdict", "PartitionOverflowError", "PerformanceResult", "ResultTable", "Scenario",
-    "ServiceKind", "SubcarrierPlan", "SweepSpec", "TonePlacement", "__version__", "array_gain_db",
+    "PairingReport", "PairingVerdict", "PerformanceResult", "ResultTable", "Scenario", "ServiceKind",
+    "SubcarrierPlan", "SweepSpec", "TonePlacement", "__version__", "array_gain_db",
     "check_jcas_pairing", "doppler_shift", "emit_csv", "fspl_db", "implied_altitude",
     "load_registry", "lookup_comm_band", "lookup_radar_allocations", "noise_power_dbw", "numerology",
     "orbital_speed", "partition", "run_point", "run_sweep", "sensing_rms_bandwidth", "symbols_in",
@@ -154,7 +163,8 @@ print(sum(calls))"""
     assert result.stdout.split() == ["0"]
 
 
-# Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values.
+# Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values,
+# and four names deleted in favour of DomainError, dump_registry's own line and link_stage's per-leg gains.
 @pytest.mark.parametrize(
     "module,name",
     [
@@ -179,6 +189,10 @@ print(sum(calls))"""
         (config, "parse_config_file"),
         (config, "parse_overrides"),
         (config, "scenario_from_values"),
+        (errors, "PartitionOverflowError"),
+        (spectrum, "format_record"),
+        (Scenario, "comm_rx_gain_dbi"),
+        (Scenario, "sense_rx_gain_dbi"),
     ],
 )
 def test_deleted_entry_point_is_gone(module, name):

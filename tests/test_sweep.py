@@ -459,10 +459,19 @@ class TestEmitCsv:
             emit_csv(table, out)
             assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
-    # SweepSpec rejects them, so no table with two equal power cells reaches emit_csv.
-    def test_powers_that_print_alike_raise_before_the_file_is_opened(self):
+    # SweepSpec rejects them, so no table with two equal power cells reaches emit_csv. The two
+    # zeros print apart but are one power, which sorted() would leave in the order given.
+    @pytest.mark.parametrize(
+        "powers", [(1.0000000001, 1.0000000002), (-0.0, 0.0), (0.0, -0.0)], ids=["nine_digits", "zeros", "zeros_swapped"]
+    )
+    def test_powers_that_print_alike_raise_before_the_file_is_opened(self, powers):
         with pytest.raises(DomainError, match="^power_axis_dbw values must be distinct at 9 significant digits$"):
-            SweepSpec(power_axis_dbw=(1.0000000001, 1.0000000002), element_axis=(1,))
+            SweepSpec(power_axis_dbw=powers, element_axis=(1,))
+
+    def test_a_lone_negative_zero_power_prints_as_given(self, tmp_path):
+        out = tmp_path / "x.csv"
+        emit_csv(run_sweep(SweepSpec(power_axis_dbw=(-0.0,), element_axis=(1,))), out)
+        assert out.read_bytes().splitlines()[-1].startswith(b"1,-0,")
 
     def test_unwritable_destination_raises(self, tmp_path):
         table = run_sweep(SweepSpec(power_axis_dbw=(1.0,), element_axis=(1,)))

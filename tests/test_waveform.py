@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcaslink.errors import DomainError, PartitionOverflowError
+from jcaslink.errors import DomainError
 from jcaslink.waveform import (
     TonePlacement,
     numerology,
@@ -89,11 +89,11 @@ class TestPartition:
         assert plan.data_fraction == 1.0
 
     def test_overflow(self):
-        with pytest.raises(PartitionOverflowError):
+        with pytest.raises(DomainError):
             partition(1024, 800, 300)
 
     def test_overflow_message_states_the_sum(self):
-        with pytest.raises(PartitionOverflowError) as error:
+        with pytest.raises(DomainError) as error:
             partition(1024, 800, 225)
         assert str(error.value) == "n_data + n_sense = 1025 exceeds n_total = 1024"
 
