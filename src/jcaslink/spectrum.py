@@ -23,7 +23,8 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DomainError, parse_lines, read_text
-from .records import record
+from .linkbudget import check_printable, typed_value
+from .records import fields, record
 
 BAND_LETTERS = frozenset({"L", "S", "C", "X", "Ku", "K", "Ka", "Q-V", "P", "W", "G"})
 
@@ -62,6 +63,14 @@ class BandRecord:
     notes: str = ""
 
     def __post_init__(self):
+        for f in fields(self):  # Scenario's type rule, so that dump_registry can write every record back
+            object.__setattr__(self, f.name, value := typed_value(f.name, f.type, getattr(self, f.name)))
+            if f.type is int:
+                check_printable(f.name, value)
+        # load_registry splits a field at "|", strips it, and reads "\n" and "\r" as line ends
+        notes, utf8 = self.notes, self.notes.encode(errors="replace").decode()  # an unpaired surrogate turns to "?"
+        if any(c in notes for c in "|\n\r") or notes != notes.strip() or notes != utf8:
+            raise DomainError("notes must be one line of UTF-8 text without '|' or surrounding whitespace")
         if self.band_letter not in BAND_LETTERS:
             raise DomainError(f"unknown band_letter {self.band_letter!r}")
         if not self.freq_low_hz < self.freq_high_hz:

@@ -23,10 +23,7 @@ class TonePlacement(Enum):
 class OfdmNumerology:
     bandwidth_hz: float
     n_subcarriers: int
-    n_cp_samples: int
     subcarrier_spacing_hz: float
-    t_useful_s: float
-    t_cp_s: float
     t_symbol_s: float
     cp_overhead: float  # useful-time fraction of the symbol, in (0, 1]
 
@@ -51,10 +48,7 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
     return OfdmNumerology(
         bandwidth_hz=bandwidth_hz,
         n_subcarriers=n_subcarriers,
-        n_cp_samples=n_cp_samples,
         subcarrier_spacing_hz=bandwidth_hz / n_subcarriers,
-        t_useful_s=t_useful,
-        t_cp_s=t_cp,
         t_symbol_s=t_symbol,
         cp_overhead=t_useful / t_symbol,
     )
@@ -62,10 +56,8 @@ def numerology(bandwidth_hz: float, n_subcarriers: int, n_cp_samples: int) -> Of
 
 @record()
 class SubcarrierPlan:
-    n_total: int
     n_data: int
     n_sense: int
-    n_unused: int
     data_fraction: float
     sense_fraction: float
 
@@ -79,10 +71,8 @@ def partition(n_total: int, n_data: int, n_sense: int) -> SubcarrierPlan:
     if n_data + n_sense > n_total:
         raise DomainError(f"n_data + n_sense = {n_data + n_sense} exceeds n_total = {n_total}")
     return SubcarrierPlan(
-        n_total=n_total,
         n_data=n_data,
         n_sense=n_sense,
-        n_unused=n_total - n_data - n_sense,
         data_fraction=n_data / n_total,
         sense_fraction=n_sense / n_total,
     )

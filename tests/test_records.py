@@ -105,6 +105,10 @@ def test_fields_pinned_for_one_class():
     expected = [("tx_power_dbw", float), ("n_elements", int), ("link", LinkResult), ("perf", PerformanceResult)]
     assert [(f.name, f.type) for f in fields(SweepRow)] == expected
     assert fields(Scenario)[-1].type == float | None
+    assert [f.name for f in fields(OfdmNumerology)] == [
+        "bandwidth_hz", "n_subcarriers", "subcarrier_spacing_hz", "t_symbol_s", "cp_overhead",
+    ]
+    assert [f.name for f in fields(SubcarrierPlan)] == ["n_data", "n_sense", "data_fraction", "sense_fraction"]
 
 
 def test_replace_runs_validation_again():
@@ -145,7 +149,7 @@ def test_records_of_different_classes_never_compare_equal():
 
 def test_repr_names_the_class_and_every_field():
     assert repr(partition(8, 4, 2)) == (
-        "SubcarrierPlan(n_total=8, n_data=4, n_sense=2, n_unused=2, data_fraction=0.5, sense_fraction=0.25)"
+        "SubcarrierPlan(n_data=4, n_sense=2, data_fraction=0.5, sense_fraction=0.25)"
     )
 
 

@@ -19,7 +19,7 @@ from jcaslink.errors import DomainError
 from jcaslink.linkbudget import ArrayGainModel, Scenario
 from jcaslink.records import fields, replace
 from jcaslink.sweep import Mode, SweepSpec, emit_csv, run_point, run_sweep
-from jcaslink.waveform import TonePlacement
+from jcaslink.waveform import TonePlacement, numerology, partition
 
 
 @st.composite
@@ -148,6 +148,18 @@ def test_package_import_loads_no_registry_json_or_pathlib():
     assert cli_loaded.isdisjoint(
         {"dataclasses", "inspect", "importlib.resources", "pathlib", "argparse", "gettext", "re"}
     )
+    # The command imports spectrum, but reads the band database only on the first bands query.
+    lazy = """import contextlib, io, os, tempfile
+from jcaslink import cli, spectrum
+out = []
+with tempfile.TemporaryDirectory() as directory:
+    for argv in (["simulate"], ["sweep", "--out", os.path.join(directory, "x.csv")], ["bands", "C"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            out += [cli.main(argv), spectrum.default_registry.cache_info().currsize]
+print(*out)"""
+    result = fresh_python("-S", "-c", lazy)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0", "0", "0", "0", "1"]
 
 
 def test_package_import_compiles_no_source():
@@ -164,7 +176,9 @@ print(sum(calls))"""
 
 
 # Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values,
-# and four names deleted in favour of DomainError, dump_registry's own line and link_stage's per-leg gains.
+# four names deleted in favour of DomainError, dump_registry's own line and link_stage's per-leg gains, and five
+# numerology and subcarrier-plan fields that no stage read. A field without a default is no class attribute, so the
+# fields are looked up on records that numerology() and partition() return.
 @pytest.mark.parametrize(
     "module,name",
     [
@@ -193,6 +207,8 @@ print(sum(calls))"""
         (spectrum, "format_record"),
         (Scenario, "comm_rx_gain_dbi"),
         (Scenario, "sense_rx_gain_dbi"),
+        *((numerology(1e8, 1024, 72), name) for name in ("n_cp_samples", "t_useful_s", "t_cp_s")),
+        *((partition(1024, 800, 224), name) for name in ("n_total", "n_unused")),
     ],
 )
 def test_deleted_entry_point_is_gone(module, name):

@@ -2,12 +2,19 @@
 
 import itertools
 import math
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcaslink.errors import DomainError
 from jcaslink.spectrum import (
+    BAND_LETTERS,
+    SENSOR_KINDS,
+    BandRecord,
     PairingVerdict,
     ServiceKind,
     check_jcas_pairing,
@@ -197,3 +204,71 @@ def test_spaced_sensor_pair_loads_and_round_trips_verbatim(tmp_path):
     dump_registry((record,), out)
     assert load_registry(out) == (record,)
     assert out.read_text().splitlines()[1] == "active_sensing|P|432000000|438000000|sar = 6 MHz"
+
+
+C_BAND = {"service": ServiceKind.COMMUNICATIONS, "band_letter": "C", "freq_low_hz": 3400000000,
+          "freq_high_hz": 7025000000, "notes": "satellite TV"}
+NOTES_MESSAGE = "notes must be one line of UTF-8 text without '|' or surrounding whitespace"
+
+
+# Each record the constructor used to accept, although dump_registry could not write it back.
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"notes": "a|b"}, NOTES_MESSAGE),
+        ({"notes": "line\nbreak"}, NOTES_MESSAGE),
+        ({"notes": "cr\rinside"}, NOTES_MESSAGE),
+        ({"notes": " padded "}, NOTES_MESSAGE),
+        ({"notes": "bad\ud800"}, NOTES_MESSAGE),
+        ({"freq_low_hz": 3.4e9}, "freq_low_hz must be of type int, not float"),
+        ({"freq_low_hz": False}, "freq_low_hz must be of type int, not bool"),
+        ({"freq_high_hz": 10**4400}, "freq_high_hz must be within Python's integer-to-text digit limit"),
+        ({"service": "communications"}, "service must be of type ServiceKind, not str"),
+    ],
+)
+def test_band_record_refuses_what_the_database_cannot_hold(change, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        BandRecord(**{**C_BAND, **change})
+
+
+# Text that now and then holds one character a database line cannot keep as it is.
+TEXT = st.builds(
+    lambda head, odd, tail: head + odd + tail,
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["", "", "", "|", "\n", "\r", " ", "\ud800"]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+SENSOR_NOTES = st.lists(st.tuples(st.sampled_from(SENSOR_KINDS), TEXT), min_size=1, max_size=3).map(
+    lambda pairs: "; ".join(f"{sensor}={value}" for sensor, value in pairs)
+)
+
+
+@st.composite
+def band_record_arguments(draw):
+    """A valid record's arguments, but for at most one that takes a value of another type or an unprintable int."""
+    service = draw(st.sampled_from(ServiceKind))
+    low = draw(st.integers(-(10**12), 10**12))
+    arguments = {
+        "service": service,
+        "band_letter": draw(st.sampled_from(sorted(BAND_LETTERS))),
+        "freq_low_hz": low,
+        "freq_high_hz": low + draw(st.integers(1, 10**12)),
+        "notes": draw(SENSOR_NOTES if service is ServiceKind.ACTIVE_SENSING else TEXT),
+    }
+    odd = draw(st.sampled_from([None] * 5 + list(arguments)))
+    if odd is not None:
+        arguments[odd] = draw(st.sampled_from([service.value, float(low), True, False, None, 10**4300]))
+    return arguments
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_record_arguments())
+def test_every_accepted_band_record_round_trips_through_the_database(arguments):
+    try:
+        record = BandRecord(**arguments)
+    except DomainError:
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "bands.txt")
+        dump_registry((record,), path)
+        assert load_registry(path) == (record,)

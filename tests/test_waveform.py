@@ -36,23 +36,18 @@ def ref_plan():
 class TestNumerology:
     def test_reference_values_exact(self, ref_num):
         assert ref_num.subcarrier_spacing_hz == 97656.25
-        assert ref_num.t_useful_s == 10.24e-6
-        assert ref_num.t_cp_s == 0.72e-6
         assert ref_num.t_symbol_s == 10.96e-6
         assert ref_num.cp_overhead == pytest.approx(0.9343065693430657, rel=1e-12)
 
-    def test_symbol_is_sum_of_parts(self, ref_num):
-        assert ref_num.t_symbol_s == ref_num.t_useful_s + ref_num.t_cp_s
-
     def test_zero_cp(self):
         num = numerology(REF_BANDWIDTH_HZ, REF_N_SC, 0)
-        assert num.t_symbol_s == num.t_useful_s == 10.24e-6
+        assert num.t_symbol_s == 10.24e-6
         assert num.cp_overhead == 1.0
 
     def test_bandwidth_scaling(self, ref_num):
         double = numerology(2e8, REF_N_SC, REF_N_CP)
         assert double.subcarrier_spacing_hz == 2.0 * ref_num.subcarrier_spacing_hz
-        assert double.t_useful_s == pytest.approx(ref_num.t_useful_s / 2.0, rel=1e-12)
+        assert double.t_symbol_s == pytest.approx(ref_num.t_symbol_s / 2.0, rel=1e-12)
 
     def test_sample_count_identity_reference_exact(self, ref_num):
         assert ref_num.t_symbol_s * ref_num.bandwidth_hz == REF_N_SC + REF_N_CP
@@ -79,13 +74,12 @@ class TestNumerology:
 
 class TestPartition:
     def test_reference_split(self, ref_plan):
-        assert ref_plan.n_unused == 0
         assert ref_plan.data_fraction == 0.78125
         assert ref_plan.sense_fraction == 0.21875
 
     def test_all_data(self):
         plan = partition(1024, 1024, 0)
-        assert plan.n_sense == 0 and plan.n_unused == 0
+        assert plan.n_sense == 0
         assert plan.data_fraction == 1.0
 
     def test_overflow(self):
@@ -107,7 +101,7 @@ class TestPartition:
     @pytest.mark.parametrize("n_total,n_data,n_sense", [(1024, 800, 224), (1024, 500, 100), (64, 0, 64), (100, 33, 33)])
     def test_fractions_sum_to_one(self, n_total, n_data, n_sense):
         plan = partition(n_total, n_data, n_sense)
-        total = plan.data_fraction + plan.sense_fraction + plan.n_unused / plan.n_total
+        total = plan.data_fraction + plan.sense_fraction + (n_total - n_data - n_sense) / n_total
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
