@@ -292,9 +292,10 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
             q + g_tx + g_tx + wavelength + rcs - _FOUR_PI_DB - target_range - target_range - noise_sense
             for g_tx in gains for q in sensed
         ]
-        # The terms are finite, so a radar sum can only overflow to +-inf, which a finite total rules out.
-        if not math.isfinite(sum(radar_rx) + sum(mono)):
-            for name, column in (("radar_rx_power_dbw", radar_rx), ("mono_snr_single_db", mono)):
+        # The terms are finite, so a column's sum can only overflow to +-inf, which a finite total rules out.
+        # comm_snr_db is checked last, so an input that also overflows a radar sum still names that sum.
+        if not math.isfinite(sum(comm) + sum(radar_rx) + sum(mono)):
+            for name, column in (("radar_rx_power_dbw", radar_rx), ("mono_snr_single_db", mono), ("comm_snr_db", comm)):
                 no_overflow(max(column, key=abs), name)
         if applied_doppler_hz:  # column by column: comm, then bistatic, then monostatic
             comm, bi, mono = (

@@ -169,6 +169,8 @@ class TestArrayGain:
     def test_zero_counts_rejected(self):
         with pytest.raises(DomainError):
             array_gain_db(22.81, 0, 1)
+        with pytest.raises(DomainError, match="^element counts must be >= 1$"):
+            array_gain_db(22.81, 4, 0)
 
 
 class TestRadarTerms:

@@ -179,38 +179,38 @@ print(sum(calls))"""
 # four names deleted in favour of DomainError, dump_registry's own line and link_stage's per-leg gains, and five
 # numerology and subcarrier-plan fields that no stage read. A field without a default is no class attribute, so the
 # fields are looked up on records that numerology() and partition() return.
-@pytest.mark.parametrize(
-    "module,name",
-    [
-        (linkbudget, "comm_snr_db"),
-        (linkbudget, "bistatic_radar_snr_db"),
-        (linkbudget, "monostatic_radar_snr_db"),
-        (linkbudget, "tx_array_gain_db"),
-        (performance, "achievable_rate"),
-        (performance, "delay_crlb"),
-        (performance, "rate_stage"),
-        (performance, "delay_stage"),
-        (performance, "range_mse"),
-        (performance, "detection_feasible"),
-        (performance, "ici_effective_snr_db"),
-        (linkbudget, "radar_budget_db"),
-        (linkbudget, "RadarTerms"),
-        (linkbudget, "radar_terms"),
-        (geometry, "slant_range"),
-        (sweep, "radar_snrs"),
-        (spectrum.BandRecord, "contains_hz"),
-        (spectrum.BandRecord, "overlaps_hz"),
-        (config, "parse_config_file"),
-        (config, "parse_overrides"),
-        (config, "scenario_from_values"),
-        (errors, "PartitionOverflowError"),
-        (spectrum, "format_record"),
-        (Scenario, "comm_rx_gain_dbi"),
-        (Scenario, "sense_rx_gain_dbi"),
-        *((numerology(1e8, 1024, 72), name) for name in ("n_cp_samples", "t_useful_s", "t_cp_s")),
-        *((partition(1024, 800, 224), name) for name in ("n_total", "n_unused")),
-    ],
-)
+DELETED_NAMES = [
+    (linkbudget, "comm_snr_db"),
+    (linkbudget, "bistatic_radar_snr_db"),
+    (linkbudget, "monostatic_radar_snr_db"),
+    (linkbudget, "tx_array_gain_db"),
+    (performance, "achievable_rate"),
+    (performance, "delay_crlb"),
+    (performance, "rate_stage"),
+    (performance, "delay_stage"),
+    (performance, "range_mse"),
+    (performance, "detection_feasible"),
+    (performance, "ici_effective_snr_db"),
+    (linkbudget, "radar_budget_db"),
+    (linkbudget, "RadarTerms"),
+    (linkbudget, "radar_terms"),
+    (geometry, "slant_range"),
+    (sweep, "radar_snrs"),
+    (spectrum.BandRecord, "contains_hz"),
+    (spectrum.BandRecord, "overlaps_hz"),
+    (config, "parse_config_file"),
+    (config, "parse_overrides"),
+    (config, "scenario_from_values"),
+    (errors, "PartitionOverflowError"),
+    (spectrum, "format_record"),
+    (Scenario, "comm_rx_gain_dbi"),
+    (Scenario, "sense_rx_gain_dbi"),
+    *((numerology(1e8, 1024, 72), name) for name in ("n_cp_samples", "t_useful_s", "t_cp_s")),
+    *((partition(1024, 800, 224), name) for name in ("n_total", "n_unused")),
+]
+
+
+@pytest.mark.parametrize("module,name", DELETED_NAMES)
 def test_deleted_entry_point_is_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(jcaslink, name)
@@ -315,6 +315,9 @@ def config_values(draw):
 )
 @example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308}, mode=Mode.ALL)  # the monostatic sum overflows
 @example(values={"tx_gain_ref_dbi": 1e308, "rx_gain_dbi": -1e308, "doppler_precompensated": False}, mode=Mode.ALL)
+@example(  # the communications sum overflows
+    values={"tx_power_dbw": 1e308, "rx_gain_comm_dbi": 1e308, "rx_gain_sense_dbi": -1e308}, mode=Mode.COMM
+)
 @example(  # the monostatic SINR underflows to 0 under the ICI penalty, on a leg not reported
     values={"doppler_precompensated": False, "tx_gain_ref_dbi": -5000.0, "rx_gain_dbi": 5000.0}, mode=Mode.ALL
 )
@@ -329,7 +332,9 @@ def test_config_reachable_scenario_evaluates_or_raises_domain_error(values, mode
     assert 0.0 <= link.implied_altitude_diag_km < math.inf
     for name in ("fspl_comm_db", "noise_comm_dbw", "radar_rx_power_dbw", "noise_sense_dbw", "integration_gain_db"):
         assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
-    for name in ("radar_snr_single_db", "radar_snr_integrated_db", "mono_snr_single_db", "mono_snr_integrated_db"):
+    for name in (
+        "comm_snr_db", "radar_snr_single_db", "radar_snr_integrated_db", "mono_snr_single_db", "mono_snr_integrated_db"
+    ):
         assert math.isfinite(getattr(link, name)), f"{name} = {getattr(link, name)!r}"
     # Steer the search toward the overflow and underflow edges of the budget.
     target(max(abs(getattr(link, f.name)) for f in fields(link) if f.name.endswith(("_db", "_dbw"))), label="max |dB|")

@@ -101,6 +101,12 @@ def test_pairing_colocated_at_5p41ghz():
     assert report.verdict is PairingVerdict.JCAS_COLOCATED
 
 
+@pytest.mark.parametrize("bandwidth_mhz", [0.0, -1.0])
+def test_pairing_rejects_a_bandwidth_not_above_zero(bandwidth_mhz):
+    with pytest.raises(DomainError, match=r"^bandwidth_mhz must be finite and > 0$"):
+        check_jcas_pairing(4.2, bandwidth_mhz)
+
+
 def test_pairing_unallocated_below_comm_bands():
     # 0.5 GHz +-5 MHz misses both the comm table and the 432-438 MHz row
     report = check_jcas_pairing(0.5, 10.0)

@@ -96,6 +96,8 @@ class TestPartition:
             partition(0, 0, 0)
         with pytest.raises(DomainError, match="^subcarrier counts must be >= 0$"):
             partition(10, -1, 2)
+        with pytest.raises(DomainError, match="^subcarrier counts must be >= 0$"):
+            partition(10, 2, -1)
         assert partition(1, 0, 1).sense_fraction == 1.0
 
     @pytest.mark.parametrize("n_total,n_data,n_sense", [(1024, 800, 224), (1024, 500, 100), (64, 0, 64), (100, 33, 33)])
