@@ -78,7 +78,7 @@ def performance_stage(plan: SubcarrierPlan, num: OfdmNumerology, rms_bandwidth_h
         except OverflowError:
             raise DomainError(f"{db!r} dB overflows the linear scale") from None
         if not isfinite(threshold_db):
-            raise DomainError("post_snr_db and threshold_db must be finite")
+            raise DomainError("threshold_db must be finite")
         capped = [qpsk_cap if qpsk_cap < rate else rate for rate in shannon]  # min(rate, qpsk_cap)
         return dict(  # in PerformanceResult field order
             shannon_rate_bps=shannon, qpsk_capped_rate_bps=capped, delay_variance_s2=variance, range_mse_m2=mse,

@@ -1,9 +1,11 @@
 """Command-line behavior: reports, overrides, exit codes, band queries."""
 
+import ast
 import io
 import math
 import os
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from enum import Enum
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from cli_matrix import expected_output, problems, read_cases, result
+import jcaslink
+from cli_matrix import DATA, expected_output, problems, read_cases, result
 from jcaslink.cli import main
 from jcaslink.config import ALL_PARSERS, effective_values, parse_config_text
 from jcaslink.errors import ConfigError, DomainError
@@ -26,14 +29,24 @@ from test_single_path import config_values, fresh_python, scenarios
 CASES = read_cases()
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 PYPROJECT = os.path.join(os.path.dirname(README), "pyproject.toml")
+PACKAGE = os.path.dirname(jcaslink.__file__)  # as the package's code objects spell their file names
+API_ONLY_RAISES = os.path.join(DATA, "api_only_raises.txt")
 
 NOT_UTF8 = b"n_sense = 10\n\xff\xfe bad\n"
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_main(argv: list, out_csv: str | None = None) -> tuple:
+    """main(argv) in process: its exit code, stdout, stderr and the CSV at
+    out_csv as bytes (None if it wrote none), which is then removed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(list(argv))
+    csv_bytes = None
+    if out_csv is not None and os.path.exists(out_csv):
+        with open(out_csv, "rb") as f:
+            csv_bytes = f.read()
+        os.remove(out_csv)
+    return code, stdout.getvalue(), stderr.getvalue(), csv_bytes
 
 
 def set_args(assignment: str) -> list:
@@ -47,22 +60,80 @@ def report_value(out: str, key: str) -> str:
     return match.group(1)
 
 
-def run_case(capsys, case):
-    code = main(list(case.argv))
-    captured = capsys.readouterr()
-    return result(case, ".", code, captured.out.encode(), captured.err.encode())
-
-
 # Every case of tests/data/cli_cases.txt, in process; tests/cli_matrix.py runs them in fresh interpreters.
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
-def test_cli_case(case, capsys, monkeypatch, tmp_path):
+def test_cli_case(case, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    expected = expected_output(case, lambda name: run_case(capsys, CASES[name]).output)
-    assert problems(case, run_case(capsys, case), expected) == []
+
+    def outcome(case):
+        code, stdout, stderr, _ = run_main(case.argv)
+        return result(case, ".", code, stdout.encode(), stderr.encode())
+
+    expected = expected_output(case, lambda name: outcome(CASES[name]).output)
+    assert problems(case, outcome(case), expected) == []
 
 
-def test_help_carries_the_readme_usage_and_every_mode(capsys):
-    code, out, err = run_cli(capsys, "--help")
+def raise_sites() -> dict:
+    """(module, the raise statement's source with its whitespace collapsed) -> the lines where such a
+    raise starts, for every raise in the package."""
+    sites = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
+                text = f.read()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Raise):
+                    source = " ".join(ast.get_source_segment(text, node).split())
+                    sites.setdefault((name[:-3], source), []).append(node.lineno)
+    return sites
+
+
+def api_only_raises() -> dict:
+    """(module, raise source) -> reason, from the file's ``module | raise source | reason`` lines."""
+    listed = {}
+    with open(API_ONLY_RAISES, encoding="utf-8") as f:
+        for line in f:
+            if line.strip() and not line.startswith("#"):
+                module, rest = line.split(" | ", 1)
+                source, reason = rest.rsplit(" | ", 1)
+                listed[module, source] = reason.strip()
+    return listed
+
+
+# Every raise in src/jcaslink either runs while the table's rows run in process, or is listed in
+# tests/data/api_only_raises.txt with the reason no command line reaches it. A listed raise that a row
+# reaches fails, as does an entry that names no raise.
+def test_every_raise_is_reached_by_a_row_or_listed_as_api_only(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    previous = sys.gettrace()  # tests/line_coverage.py's tracer, which must go on to trace the later tests
+    sys.settrace(lambda frame, event, arg: local if os.path.dirname(frame.f_code.co_filename) == PACKAGE else None)
+    try:
+        for case in CASES.values():
+            run_main(case.argv)
+    finally:
+        sys.settrace(previous)
+    sites, listed = raise_sites(), api_only_raises()
+    found = []
+    for (module, source), lines in sites.items():
+        missed = [line for line in lines if (os.path.join(PACKAGE, f"{module}.py"), line) not in ran]
+        if missed != lines and (module, source) in listed:
+            found.append(f"{module}.py line {lines[0]}: {source}: a row reaches it, yet api_only_raises.txt lists it")
+        elif missed and not listed.get((module, source)):
+            found.append(f"{module}.py line {missed[0]}: {source}: no row reaches it, and no reason is listed")
+    for module, source in listed.keys() - sites.keys():
+        found.append(f"api_only_raises.txt lists a raise that {module}.py does not hold: {source}")
+    assert found == []
+
+
+def test_help_carries_the_readme_usage_and_every_mode():
+    code, out, err, _ = run_main(["--help"])
     assert (code, err) == (0, "")
     optimized = fresh_python("-OO", "-m", "jcaslink.cli", "--help")  # -OO strips docstrings, not the help text
     assert (optimized.returncode, optimized.stdout, optimized.stderr) == (0, out, "")
@@ -73,11 +144,11 @@ def test_help_carries_the_readme_usage_and_every_mode(capsys):
     assert f"MODE is {', '.join(modes)} or {last}." in " ".join(out.split())
 
 
-def test_version_matches_pyproject(capsys):
+def test_version_matches_pyproject():
     # A regex, not tomllib, which Python 3.10 lacks.
     with open(PYPROJECT, encoding="utf-8") as f:
         (declared,) = re.findall(r'^version = "([^"]+)"$', f.read(), re.MULTILINE)
-    assert run_cli(capsys, "--version") == (0, f"jcaslink {declared}\n", "")
+    assert run_main(["--version"]) == (0, f"jcaslink {declared}\n", "", None)
 
 
 def test_config_file_not_utf8_is_a_config_error(tmp_path):
@@ -119,8 +190,8 @@ def test_enum_config_error_lists_the_choices(key, value):
 
 
 class TestSimulate:
-    def test_power_override(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--set", "tx_power_dbw=9")
+    def test_power_override(self):
+        code, out, _, _ = run_main(["simulate", "--set", "tx_power_dbw=9"])
         assert code == 0
         assert float(report_value(out, "comm_snr_db")) == pytest.approx(29.60, abs=0.05)
 
@@ -132,47 +203,45 @@ class TestSimulate:
             "carrier_hz=1.7e-300 bandwidth_hz=1e23 tx_power_dbw=-4000 doppler_precompensated=false",
         ],
     )
-    def test_extreme_but_representable_input_evaluates(self, capsys, assignment):
-        code, out, err = run_cli(capsys, "simulate", *set_args(assignment))
+    def test_extreme_but_representable_input_evaluates(self, assignment):
+        code, out, err, _ = run_main(["simulate", *set_args(assignment)])
         assert (code, err) == (0, "")
         assert 0.0 < float(report_value(out, "range_rmse_m")) < float("inf")
 
-    def test_override_precedence_echoed(self, capsys, tmp_path):
+    def test_override_precedence_echoed(self, tmp_path):
         config = tmp_path / "point.cfg"
         config.write_text("# reference overrides\ntx_power_dbw = 5\nn_elements = 4\n")
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+        code, out, _, _ = run_main(["simulate", "--config", str(config)])
         assert code == 0
         assert report_value(out, "tx_power_dbw") == "5"
         assert report_value(out, "n_elements") == "4"
 
-        code, out, _ = run_cli(
-            capsys, "simulate", "--config", str(config), "--set", "tx_power_dbw=7"
-        )
+        code, out, _, _ = run_main(["simulate", "--config", str(config), "--set", "tx_power_dbw=7"])
         assert code == 0
         assert report_value(out, "tx_power_dbw") == "7"
         assert report_value(out, "n_elements") == "4"
 
     @pytest.mark.parametrize("none", ["none", "None", "NONE"])
-    def test_set_resets_a_per_leg_gain_to_none(self, capsys, tmp_path, none):
+    def test_set_resets_a_per_leg_gain_to_none(self, tmp_path, none):
         config = tmp_path / "gain.cfg"
         config.write_text("rx_gain_comm_dbi = 30.5\n")
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--set", f"rx_gain_comm_dbi={none}")
+        code, out, _, _ = run_main(["simulate", "--config", str(config), "--set", f"rx_gain_comm_dbi={none}"])
         assert code == 0
         assert report_value(out, "rx_gain_comm_dbi") == "none"
-        _, default, _ = run_cli(capsys, "simulate")
+        _, default, _, _ = run_main(["simulate"])
         assert report_value(out, "comm_snr_db") == report_value(default, "comm_snr_db")
 
-    def test_config_error_carries_line_number(self, capsys, tmp_path):
+    def test_config_error_carries_line_number(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("tx_power_dbw = 5\n\nwhat_is_this = 1\n")
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        code, _, err, _ = run_main(["simulate", "--config", str(config)])
         assert code == 2
         assert "line 3" in err
 
-    def test_bad_value_reports_line(self, capsys, tmp_path):
+    def test_bad_value_reports_line(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("n_elements = two\n")
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        code, _, err, _ = run_main(["simulate", "--config", str(config)])
         assert code == 2
         assert "line 1" in err and "n_elements" in err
 
@@ -186,43 +255,14 @@ class TestSimulate:
         assert line.startswith("error[config]: cannot read config file") and "Traceback" not in result.stderr
 
 
-class TestSweep:
-    def test_default_sweep_writes_45_rows(self, capsys, tmp_path):
-        out_csv = tmp_path / "sweep.csv"
-        code, out, _ = run_cli(capsys, "sweep", "--out", str(out_csv))
-        assert code == 0
-        assert "45 rows" in out
-        data_lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
-        assert len(data_lines) == 46
-
-    def test_monostatic_mode_all_infeasible(self, capsys, tmp_path):
-        out_csv = tmp_path / "mono.csv"
-        code, _, _ = run_cli(capsys, "sweep", "--out", str(out_csv), "--mode", "radar_monostatic")
-        assert code == 0
-        data_lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
-        for line in data_lines[1:]:
-            assert ",false," in line
-
-    def test_summary_reports_extrema(self, capsys, tmp_path):
-        out_csv = tmp_path / "sweep.csv"
-        _, out, _ = run_cli(capsys, "sweep", "--out", str(out_csv))
-        assert "shannon_rate_bps min=" in out and "max=" in out
-        assert "range_rmse_m min=" in out
-
-    def test_axis_override(self, capsys, tmp_path):
-        out_csv = tmp_path / "small.csv"
-        code, out, _ = run_cli(
-            capsys,
-            "sweep",
-            "--out",
-            str(out_csv),
-            "--set",
-            "power_axis_dbw=1,5,9",
-            "--set",
-            "element_axis=1,4",
-        )
-        assert code == 0
-        assert "6 rows" in out
+# The summary line counts the rows and gives the extremes of two columns.
+@pytest.mark.parametrize(
+    "assignment, rows", [("", 45), ("power_axis_dbw=1,5,9 element_axis=1,4", 6)], ids=["default", "axis_override"]
+)
+def test_sweep_summary_counts_the_rows(tmp_path, assignment, rows):
+    code, out, err, _ = run_main(["sweep", "--out", str(tmp_path / "sweep.csv"), *set_args(assignment)])
+    assert (code, err) == (0, "")
+    assert SUMMARY.fullmatch(out)[1] == str(rows)
 
 
 # What the CLI may print as a value besides an int or a finite float.
@@ -261,20 +301,6 @@ def printable(value: str) -> bool:
 
 def set_arg(key: str, value) -> str:
     return f"{key}={value.value if isinstance(value, Enum) else repr(value)}"
-
-
-def run_main(argv: list, out_csv: str) -> tuple:
-    """main(argv) in process: its exit code, stdout, stderr and the CSV at
-    out_csv as bytes (None if it wrote none), which is then removed."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(argv)
-    csv_bytes = None
-    if os.path.exists(out_csv):
-        with open(out_csv, "rb") as f:
-            csv_bytes = f.read()
-        os.remove(out_csv)
-    return code, stdout.getvalue(), stderr.getvalue(), csv_bytes
 
 
 def check_outcome(command: str, code: int, stdout: str, stderr: str, csv_bytes: bytes | None) -> list:

@@ -60,10 +60,6 @@ class TestAchievableRate:
         rates = ref_stage()(grid, [0.0] * len(grid))["shannon_rate_bps"]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_nonfinite_snr_rejected(self, perf_at):
-        with pytest.raises(DomainError):
-            perf_at(math.nan)
-
 
 class TestDelayCrlb:
     def test_reference_value(self, perf_at):
@@ -107,21 +103,13 @@ class TestRangeMse:
         mse4 = perf_at(brms=REF_BRMS_HZ).range_mse_m2
         assert mse4 == pytest.approx(4.0 * mse1, rel=1e-12)
 
-    def test_overflowing_range_error_rejected(self, perf_at):
-        # the delay bound is finite, c^2 times it is not
-        with pytest.raises(DomainError):
-            perf_at(post_snr_db=-3085.0)
 
-
-class TestDetectionFeasible:
-    def test_reference_bistatic_point_below_threshold(self, perf_at):
-        assert perf_at(post_snr_db=3.1, threshold_db=10.0).detection_feasible is False
-
-    def test_threshold_inclusive(self, perf_at):
-        assert perf_at(post_snr_db=10.0, threshold_db=10.0).detection_feasible is True
-
-    def test_monostatic_reference_point(self, perf_at):
-        assert perf_at(post_snr_db=-40.69, threshold_db=10.0).detection_feasible is False
+# The reference bistatic point, the threshold itself (inclusive) and the monostatic reference point.
+@pytest.mark.parametrize(
+    "post_snr_db, feasible", [(3.1, False), (10.0, True), (-40.69, False)], ids=["bistatic", "threshold", "monostatic"]
+)
+def test_detection_feasible_from_the_threshold_up(perf_at, post_snr_db, feasible):
+    assert perf_at(post_snr_db=post_snr_db, threshold_db=10.0).detection_feasible is feasible
 
 
 # Checks run in the order delay, range, rate, feasibility, so a point with
@@ -135,7 +123,9 @@ class TestDetectionFeasible:
         (math.nan, -3085.0, math.inf, "c^2 * delay_variance_s2 overflows the floating-point range"),
         (math.nan, 0.0, math.inf, "snr_db must be finite"),
         (4000.0, 0.0, math.inf, "4000.0 dB overflows the linear scale"),
-        (0.0, 0.0, math.inf, "post_snr_db and threshold_db must be finite"),
+        (0.0, 0.0, math.inf, "threshold_db must be finite"),
+        (math.nan, 0.0, 10.0, "snr_db must be finite"),
+        (REF_SNR_DB, -3085.0, 10.0, "c^2 * delay_variance_s2 overflows the floating-point range"),
     ],
 )
 def test_point_checks_run_in_order(perf_at, comm_snr_db, post_snr_db, threshold_db, message):
