@@ -1,6 +1,7 @@
 """Command-line behavior: reports, overrides, exit codes, band queries."""
 
 import ast
+import functools
 import io
 import math
 import os
@@ -100,11 +101,10 @@ def api_only_raises() -> dict:
     return listed
 
 
-# Every raise in src/jcaslink either runs while the table's rows run in process, or is listed in
-# tests/data/api_only_raises.txt with the reason no command line reaches it. A listed raise that a row
-# reaches fails, as does an entry that names no raise.
-def test_every_raise_is_reached_by_a_row_or_listed_as_api_only(monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)
+@functools.cache
+def lines_the_rows_run() -> frozenset:
+    """(file name, line) for every line of the package that runs while the table's rows run in process,
+    each in a fresh working directory."""
     ran = set()
 
     def local(frame, event, arg):
@@ -112,24 +112,38 @@ def test_every_raise_is_reached_by_a_row_or_listed_as_api_only(monkeypatch, tmp_
             ran.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
-    previous = sys.gettrace()  # tests/line_coverage.py's tracer, which must go on to trace the later tests
-    sys.settrace(lambda frame, event, arg: local if os.path.dirname(frame.f_code.co_filename) == PACKAGE else None)
-    try:
-        for case in CASES.values():
-            run_main(case.argv)
-    finally:
-        sys.settrace(previous)
-    sites, listed = raise_sites(), api_only_raises()
-    found = []
-    for (module, source), lines in sites.items():
-        missed = [line for line in lines if (os.path.join(PACKAGE, f"{module}.py"), line) not in ran]
-        if missed != lines and (module, source) in listed:
-            found.append(f"{module}.py line {lines[0]}: {source}: a row reaches it, yet api_only_raises.txt lists it")
-        elif missed and not listed.get((module, source)):
-            found.append(f"{module}.py line {missed[0]}: {source}: no row reaches it, and no reason is listed")
-    for module, source in listed.keys() - sites.keys():
-        found.append(f"api_only_raises.txt lists a raise that {module}.py does not hold: {source}")
-    assert found == []
+    cwd, previous = os.getcwd(), sys.gettrace()  # tests/line_coverage.py's tracer, which must go on to trace the later tests
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        sys.settrace(lambda frame, event, arg: local if os.path.dirname(frame.f_code.co_filename) == PACKAGE else None)
+        try:
+            for case in CASES.values():
+                run_main(case.argv)
+        finally:
+            sys.settrace(previous)
+            os.chdir(cwd)
+    return frozenset(ran)
+
+
+RAISE_SITES = raise_sites()
+
+
+# Every raise in src/jcaslink, one case each, either runs while the table's rows run in process, or is
+# listed in tests/data/api_only_raises.txt with the reason no command line reaches it. A listed raise that a
+# row reaches fails.
+@pytest.mark.parametrize("module, source", RAISE_SITES.keys(), ids=[f"{m}:{s}" for m, s in RAISE_SITES.keys()])
+def test_every_raise_is_reached_by_a_row_or_listed_as_api_only(module, source):
+    lines, listed = RAISE_SITES[module, source], api_only_raises()
+    missed = [line for line in lines if (os.path.join(PACKAGE, f"{module}.py"), line) not in lines_the_rows_run()]
+    if (module, source) in listed:
+        assert missed == lines, f"{module}.py line {lines[0]}: {source}: a row reaches it, yet api_only_raises.txt lists it"
+        assert listed[module, source], f"{module}.py line {lines[0]}: {source}: listed with no reason"
+    else:
+        assert missed == [], f"{module}.py line {missed[0]}: {source}: no row reaches it, and no reason is listed"
+
+
+def test_every_api_only_entry_names_a_raise():
+    assert sorted(api_only_raises().keys() - RAISE_SITES.keys()) == []
 
 
 def test_help_carries_the_readme_usage_and_every_mode():
