@@ -90,5 +90,7 @@ def effective_values(config_path: str | os.PathLike | None, overrides: list[str]
 
 
 def sweep_spec_from_values(values: dict) -> SweepSpec:
-    base = Scenario(**{key: value for key, value in values.items() if key in SCENARIO_PARSERS})
+    """The SweepSpec of a value dict: axis keys go to SweepSpec, every other key to
+    its base Scenario, whose constructor rejects a key that names no field."""
+    base = Scenario(**{key: value for key, value in values.items() if key not in SWEEP_PARSERS})
     return SweepSpec(base, **{key: value for key, value in values.items() if key in SWEEP_PARSERS})

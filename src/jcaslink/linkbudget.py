@@ -208,16 +208,6 @@ def array_gain_db(
         raise DomainError("n_elements / n_elements_ref is outside the floating-point range") from None
 
 
-def integration_gain_db(t_integration_s: float, num: OfdmNumerology) -> float:
-    """Coherent integration gain, 10 log10 of the symbol count."""
-    n = symbols_in(t_integration_s, num)
-    if n == 0:
-        raise DomainError(
-            "t_integration_s admits zero symbols; integrated SNR is undefined"
-        )
-    return 10.0 * math.log10(n)
-
-
 def ici_effective_snr_db(snrs_db, doppler_hz: float, subcarrier_spacing_hz: float, name: str) -> list[float]:
     """Effective SNR column ``name`` under an uncompensated carrier offset fd:
     the useful subcarrier power scales by a = sinc^2(fd / spacing) and the lost
@@ -273,8 +263,14 @@ def link_stage(s: Scenario, plan: SubcarrierPlan, num: OfdmNumerology):
     rcs = 10.0 * math.log10(s.rcs_m2)
     target_range = 20.0 * math.log10(no_overflow(s.d_sat_target_km * 1000.0, "d_sat_target_km * 1000"))
     rx_range = 20.0 * math.log10(no_overflow(s.d_target_rx_km * 1000.0, "d_target_rx_km * 1000"))
-    noise_sense = noise_power_dbw(s.noise_temp_k, plan.sense_fraction * s.bandwidth_hz)
-    gain = integration_gain_db(s.t_integration_s, num)
+    sense_bandwidth_hz = plan.sense_fraction * s.bandwidth_hz
+    if sense_bandwidth_hz == 0.0:
+        raise DomainError("sense_fraction * bandwidth_hz underflows to 0")
+    noise_sense = noise_power_dbw(s.noise_temp_k, sense_bandwidth_hz)
+    symbols = symbols_in(s.t_integration_s, num)  # coherent integration gain: 10 log10 of the symbol count
+    if symbols == 0:
+        raise DomainError("t_integration_s admits zero symbols; integrated SNR is undefined")
+    gain = 10.0 * math.log10(symbols)
     # Uncompensated Doppler degrades every leg's SNR by ICI before integration.
     implied_alt_km = geometry.implied_altitude(s.d_sat_user_km, s.elevation_user_deg)
     _, _, applied_doppler_hz = user_link_doppler(s, implied_alt_km)

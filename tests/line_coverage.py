@@ -3,17 +3,16 @@ never runs. Standard library only, beside pytest itself:
 
     python tests/line_coverage.py [pytest options]
 
-``sys.settrace`` and ``threading.settrace`` record each line of src/jcaslink
-that runs in this process; the executable lines of each module are those that
-``co_lines()`` lists for its code objects. A line the tests cannot run in
-process ends in ``# untraced: <reason>``; such a line that runs after all is
-reported too, so the marks stay true. Exit status: pytest's when it fails,
-else 1 if any line is reported, else 0.
+``sys.settrace`` records each line of src/jcaslink that runs in this process;
+the executable lines of each module are those that ``co_lines()`` lists for its
+code objects. A line the tests cannot run in process ends in
+``# untraced: <reason>``; such a line that runs after all is reported too, so
+the marks stay true. Exit status: pytest's when it fails, else 1 if any line
+is reported, else 0.
 """
 
 import os
 import sys
-import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.realpath(os.path.join(ROOT, "src", "jcaslink"))  # traced paths are compared resolved
@@ -65,13 +64,11 @@ def trace(args: list) -> tuple[int, dict]:
 
     import pytest
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         status = pytest.main(args)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(status), ran
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import jcaslink
 from cli_matrix import DATA, expected_output, problems, read_cases, result
 from jcaslink.cli import main
-from jcaslink.config import ALL_PARSERS, effective_values, parse_config_text
+from jcaslink.config import ALL_PARSERS, effective_values, parse_config_text, sweep_spec_from_values
 from jcaslink.errors import ConfigError, DomainError
 from jcaslink.linkbudget import ArrayGainModel
 from jcaslink.records import asdict
@@ -183,6 +183,13 @@ def test_config_file_path_may_be_str_or_pathlike(tmp_path):
     config = tmp_path / "ok.cfg"
     config.write_text("# comment\nn_sense = 10\n", encoding="utf-8")
     assert effective_values(config, []) == effective_values(str(config), []) == {"n_sense": 10}
+
+
+# The config parser rejects an unknown key first; a caller of the API gets the record's TypeError.
+@pytest.mark.parametrize("key", ["bogus", "base"])
+def test_a_value_key_that_names_no_field_is_rejected(key):
+    with pytest.raises(TypeError, match=f"^Scenario\\(\\) got an unexpected keyword argument '{key}'$"):
+        sweep_spec_from_values({"n_sense": 10, key: 1})
 
 
 ENUM_CHOICES = {

@@ -169,7 +169,8 @@ print(sum(calls))"""
     assert result.stdout.split() == ["0"]
 
 
-# Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values,
+# Second entry points deleted in favour of run_point, the stage functions, effective_values and sweep_spec_from_values
+# (link_stage computes the integration gain inline),
 # four names deleted in favour of DomainError, dump_registry's own line and link_stage's per-leg gains, and five
 # numerology and subcarrier-plan fields that no stage read. A field without a default is no class attribute, so the
 # fields are looked up on records that numerology() and partition() return.
@@ -178,6 +179,7 @@ DELETED_NAMES = [
     (linkbudget, "bistatic_radar_snr_db"),
     (linkbudget, "monostatic_radar_snr_db"),
     (linkbudget, "tx_array_gain_db"),
+    (linkbudget, "integration_gain_db"),
     (performance, "achievable_rate"),
     (performance, "delay_crlb"),
     (performance, "rate_stage"),

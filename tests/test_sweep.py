@@ -201,7 +201,7 @@ class TestRunSweep:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("array_gain_db", "fspl_db", "ici_effective_snr_db", "integration_gain_db", "noise_power_dbw"):
+        for name in ("array_gain_db", "fspl_db", "ici_effective_snr_db", "noise_power_dbw", "symbols_in"):
             count(linkbudget, name)
         count(waveform, "sensing_rms_bandwidth")
         stage = performance.performance_stage
@@ -227,9 +227,9 @@ class TestRunSweep:
             "array_gain_db": 40,
             "fspl_db": 1,
             "ici_effective_snr_db": ici_calls,
-            "integration_gain_db": 1,
             "sensing_rms_bandwidth": 1,
             "noise_power_dbw": 2,  # communications band and sensing band
+            "symbols_in": 1,  # the integration gain's symbol count
             "performance_stage": 1,
             "performance grid": 1,  # one call per sweep, not per element count or point
         })
